@@ -1,6 +1,6 @@
 # Tier-1 gate: everything a PR must keep green (see ROADMAP.md).
 .PHONY: check fmt vet build test bench bench-micro bench-json bench-delta \
-	bench-history chaos fuzz smoke-server chaos-server
+	bench-history chaos fuzz smoke-server chaos-server perfbench-check
 
 check: fmt vet build test
 
@@ -16,6 +16,12 @@ build:
 
 test:
 	go test -race ./...
+
+# The benchmark is a nested module (perfbench/go.mod) that the root
+# `go build ./...` does not compile: vet and test it so a driver API change
+# cannot break the benchmark unnoticed (includes TestDefaultSeedDigests).
+perfbench-check:
+	cd perfbench && go vet ./... && go test -count=1 ./...
 
 # Fault-injection suite: the deterministic chaos tests (panic isolation,
 # budget trips, worker-count determinism, and the seeded sweep) under -race,

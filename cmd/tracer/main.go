@@ -215,18 +215,11 @@ func run() error {
 func runFuzz(seed int64, n int, meta bool) error {
 	opts := oracle.FuzzOptions{Seed: seed, N: n, Meta: meta}
 	var total int
-	for _, client := range []struct {
-		name string
-		run  func(oracle.FuzzOptions) []oracle.Discrepancy
-	}{
-		{"typestate", oracle.FuzzTypestate},
-		{"escape", oracle.FuzzEscape},
-		{"nullness", oracle.FuzzNullness},
-	} {
+	for _, spec := range driver.Clients() {
 		start := time.Now()
-		ds := client.run(opts)
+		ds := oracle.Fuzz(spec.Name, opts)
 		fmt.Printf("fuzz %-9s  %d cases, seed %d, meta=%v: %d discrepancies  [%v]\n",
-			client.name, n, seed, meta, len(ds), time.Since(start).Round(time.Millisecond))
+			spec.Name, n, seed, meta, len(ds), time.Since(start).Round(time.Millisecond))
 		for _, d := range ds {
 			fmt.Println(d)
 		}
@@ -258,7 +251,7 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 	}
 
 	// Explicit queries.
-	tsJobs, err := prog.ExplicitTypestateJobs(prop, k)
+	tsJobs, escJobs, err := prog.ExplicitJobs(prop, k)
 	if err != nil {
 		return err
 	}
@@ -276,7 +269,6 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 			return err
 		}
 	}
-	escJobs := prog.ExplicitEscapeJobs(k)
 	for _, name := range sortedKeys(escJobs) {
 		job := escJobs[name]
 		if explainFlag {
@@ -301,8 +293,9 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 		// lazily per client so a typestate-only program writes no escape
 		// snapshot.
 		store := warm.Open(warmDir, rec)
-		session := func(cl warm.Client) *warm.Session {
-			if !store.Enabled() {
+		session := func(spec *driver.ClientSpec) *warm.Session {
+			cl, ok := warm.ClientOf(spec.Name)
+			if !store.Enabled() || !ok {
 				return nil
 			}
 			return store.Session(prog, warm.Config{
@@ -338,40 +331,19 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 			printResult(q, res, paramName, time.Since(start))
 			return nil
 		}
-		tsSess := session(warm.Typestate)
-		for _, q := range prog.TypestateQueries() {
-			job := prog.TypestateJob(q, k)
-			if err := solveWarm(q.ID, q.Key, tsSess, job, job.ParamName); err != nil {
-				return err
+		for _, spec := range driver.Clients() {
+			sess := session(spec)
+			names := spec.ParamNames(prog)
+			paramName := func(i int) string { return names[i] }
+			for i, q := range spec.Queries(prog) {
+				if err := solveWarm(q.ID, q.Key, sess, spec.Job(prog, i, k), paramName); err != nil {
+					return err
+				}
 			}
-		}
-		if tsSess != nil {
-			if err := tsSess.Save(); err != nil {
-				return err
-			}
-		}
-		escSess := session(warm.Escape)
-		for _, q := range prog.EscapeQueries() {
-			job := prog.EscapeJob(q, k)
-			if err := solveWarm(q.ID, q.Key, escSess, job, job.ParamName); err != nil {
-				return err
-			}
-		}
-		if escSess != nil {
-			if err := escSess.Save(); err != nil {
-				return err
-			}
-		}
-		nullSess := session(warm.Nullness)
-		for _, q := range prog.NullnessQueries() {
-			job := prog.NullnessJob(q, k)
-			if err := solveWarm(q.ID, q.Key, nullSess, job, job.ParamName); err != nil {
-				return err
-			}
-		}
-		if nullSess != nil {
-			if err := nullSess.Save(); err != nil {
-				return err
+			if sess != nil {
+				if err := sess.Save(); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -381,9 +353,7 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 // runBatch resolves the generated queries through the grouped multi-query
 // solver of §6: queries with identical learned-clause sets share forward
 // runs, and opts.Workers schedules independent groups in parallel.
-func runBatch(prog *driver.Program, k int, opts core.Options, rec obs.Recorder, session func(warm.Client) *warm.Session) error {
-	tsQueries := prog.TypestateQueries()
-	escQueries := prog.EscapeQueries()
+func runBatch(prog *driver.Program, k int, opts core.Options, rec obs.Recorder, session func(*driver.ClientSpec) *warm.Session) error {
 	type batchCase struct {
 		ids, keys []string
 		paramName func(i int) string
@@ -391,32 +361,19 @@ func runBatch(prog *driver.Program, k int, opts core.Options, rec obs.Recorder, 
 		sess      *warm.Session
 	}
 	cases := []batchCase{}
-	if len(tsQueries) > 0 {
-		ids := make([]string, len(tsQueries))
-		keys := make([]string, len(tsQueries))
-		for i, q := range tsQueries {
-			ids[i], keys[i] = q.ID, q.Key
+	for _, spec := range driver.Clients() {
+		qs := spec.Queries(prog)
+		if len(qs) == 0 {
+			continue
 		}
-		job := prog.TypestateJob(tsQueries[0], k)
-		cases = append(cases, batchCase{ids, keys, job.ParamName, driver.NewTypestateBatch(prog, tsQueries, k), session(warm.Typestate)})
-	}
-	if len(escQueries) > 0 {
-		ids := make([]string, len(escQueries))
-		keys := make([]string, len(escQueries))
-		for i, q := range escQueries {
-			ids[i], keys[i] = q.ID, q.Key
+		idx := make([]int, len(qs))
+		ids := make([]string, len(qs))
+		keys := make([]string, len(qs))
+		for i, q := range qs {
+			idx[i], ids[i], keys[i] = i, q.ID, q.Key
 		}
-		job := prog.EscapeJob(escQueries[0], k)
-		cases = append(cases, batchCase{ids, keys, job.ParamName, driver.NewEscapeBatch(prog, escQueries, k), session(warm.Escape)})
-	}
-	if nullQueries := prog.NullnessQueries(); len(nullQueries) > 0 {
-		ids := make([]string, len(nullQueries))
-		keys := make([]string, len(nullQueries))
-		for i, q := range nullQueries {
-			ids[i], keys[i] = q.ID, q.Key
-		}
-		job := prog.NullnessJob(nullQueries[0], k)
-		cases = append(cases, batchCase{ids, keys, job.ParamName, driver.NewNullnessBatch(prog, nullQueries, k), session(warm.Nullness)})
+		names := spec.ParamNames(prog)
+		cases = append(cases, batchCase{ids, keys, func(i int) string { return names[i] }, spec.Batch(prog, idx, k), session(spec)})
 	}
 	for _, c := range cases {
 		bopts := opts
@@ -481,21 +438,13 @@ func runRHS(src string, prop *typestate.Property, k int, opts core.Options, rec 
 		job := jobs[name]
 		qopts := opts
 		qopts.Recorder = obs.Tag(rec, "query "+name)
-		paramName := func(i int) string { return fmt.Sprintf("p%d", i) }
-		switch j := job.(type) {
-		case *driver.RHSEscapeJob:
-			paramName = j.ParamName
-			j.Rec = qopts.Recorder
-		case *driver.RHSTypestateJob:
-			paramName = j.ParamName
-			j.Rec = qopts.Recorder
-		}
+		job.Observe(qopts.Recorder)
 		start := time.Now()
 		res, err := core.Solve(job, qopts)
 		if err != nil {
 			return err
 		}
-		printResult("query "+name, res, paramName, time.Since(start))
+		printResult("query "+name, res, job.ParamName, time.Since(start))
 	}
 	return nil
 }

@@ -94,7 +94,7 @@ func main() {
 
 	opts := core.Options{Timeout: 10 * time.Second}
 
-	tsJobs, err := prog.ExplicitTypestateJobs(typestate.FileProperty(), 5)
+	tsJobs, escJobs, err := prog.ExplicitJobs(typestate.FileProperty(), 5)
 	if err != nil {
 		panic(err)
 	}
@@ -105,7 +105,7 @@ func main() {
 		}
 		report(name, res, job.ParamName)
 	}
-	for name, job := range prog.ExplicitEscapeJobs(5) {
+	for name, job := range escJobs {
 		res, err := core.Solve(job, opts)
 		if err != nil {
 			panic(err)

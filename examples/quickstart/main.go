@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/dataflow"
 	"tracer/internal/lang"
@@ -35,7 +36,8 @@ func main() {
 	fmt.Println("Program (Fig 1a):")
 	fmt.Print(indent(lang.Format(prog)))
 	g := lang.BuildCFG(prog)
-	a := typestate.New(typestate.FileProperty(), "h", typestate.CollectVars(g))
+	vars, _, _ := lang.Names(g)
+	a := typestate.New(typestate.FileProperty(), "h", vars)
 
 	closed := uset.Bits(0).Add(a.Prop.MustState("closed"))
 	opened := uset.Bits(0).Add(a.Prop.MustState("opened"))
@@ -47,7 +49,7 @@ func main() {
 // solve runs TRACER verbosely for one query.
 func solve(a *typestate.Analysis, g *lang.CFG, name string, want uset.Bits) {
 	fmt.Printf("\n=== query %s ===\n", name)
-	job := &typestate.Job{A: a, G: g, Q: typestate.Query{Nodes: []int{g.Exit}, Want: want}, K: 1}
+	job := client.NewJob[typestate.State](a, client.Goal{Subject: "h", Want: want}, g, []int{g.Exit}, 1)
 
 	// Wrap the job so each TRACER iteration prints Fig 1's annotations.
 	iter := 0
@@ -73,7 +75,7 @@ func solve(a *typestate.Analysis, g *lang.CFG, name string, want uset.Bits) {
 // verboseProblem wraps a type-state job, printing what Fig 1 shows: the
 // trace annotated with forward states and meta-analysis formulas.
 type verboseProblem struct {
-	job  *typestate.Job
+	job  *client.Job[typestate.State]
 	a    *typestate.Analysis
 	iter *int
 }
@@ -97,7 +99,7 @@ func (v *verboseProblem) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 func (v *verboseProblem) Backward(_ *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
 	dI := v.a.Initial()
 	states := dataflow.StatesAlong(t, dI, v.a.Transfer(p))
-	ann := meta.RunAnnotated(v.job.Client(p), t, states, v.a.NotQ(v.job.Q))
+	ann := meta.RunAnnotated(v.job.Client(p), t, states, v.a.NotQ(v.job.Goal))
 	fmt.Println("  counterexample trace (α = forward state, ψ = failure condition):")
 	fmt.Printf("    %-24s α %-28s ψ %s\n", "", v.a.Format(states[0]), ann[0])
 	for i, atom := range t {

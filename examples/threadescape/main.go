@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/dataflow"
 	"tracer/internal/escape"
@@ -36,9 +37,9 @@ func main() {
 	fmt.Println("pc: local(u)?")
 
 	g := lang.BuildCFG(prog)
-	locals, fields, sites := escape.Universe(g)
+	locals, fields, sites := lang.Names(g)
 	a := escape.New(locals, fields, sites)
-	q := escape.Query{Nodes: []int{g.Exit}, V: "u"}
+	q := client.Goal{Subject: "u"}
 
 	for _, k := range []int{0, 1} {
 		label := fmt.Sprintf("k = %d", k)
@@ -48,7 +49,7 @@ func main() {
 			label = "k = 1 (Fig 6b)"
 		}
 		fmt.Printf("\n=== %s ===\n", label)
-		job := &escape.Job{A: a, G: g, Q: q, K: k}
+		job := client.NewJob[escape.State](a, q, g, []int{g.Exit}, k)
 		iter := 0
 		problem := &verbose{job: job, a: a, iter: &iter}
 		res, err := core.Solve(problem, core.Options{})
@@ -69,7 +70,7 @@ func main() {
 
 // verbose wraps the job to print the α/ψ annotations of Fig 6.
 type verbose struct {
-	job  *escape.Job
+	job  *client.Job[escape.State]
 	a    *escape.Analysis
 	iter *int
 }
@@ -97,7 +98,7 @@ func (v *verbose) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 func (v *verbose) Backward(_ *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
 	dI := v.a.Initial()
 	states := dataflow.StatesAlong(t, dI, v.a.Transfer(p))
-	ann := meta.RunAnnotated(v.job.Client(p), t, states, v.a.NotQ(v.job.Q))
+	ann := meta.RunAnnotated(v.job.Client(p), t, states, v.a.NotQ(v.job.Goal))
 	fmt.Println("  counterexample trace (α = forward state, ψ = failure condition):")
 	fmt.Printf("    %-16s α %-24s ψ %s\n", "", v.a.Format(states[0]), ann[0])
 	for i, atom := range t {

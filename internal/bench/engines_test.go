@@ -8,7 +8,7 @@ import (
 )
 
 // TestEnginesAgreeOnSuite cross-validates the two interprocedural backends
-// on a generated benchmark: every §6-style query must resolve to the same
+// on a generated benchmark for every registered client: each §6-style query must resolve to the same
 // status, with the same cheapest-abstraction size, whether the program is
 // analyzed over the inlined CFG or over the RHS supergraph. Queries are
 // matched by their source-statement identity (the IDs embed positions,
@@ -22,62 +22,34 @@ func TestEnginesAgreeOnSuite(t *testing.T) {
 	}
 	opts := core.Options{MaxIters: 300}
 
-	// Type-state client.
-	inlTS := b.Prog.TypestateQueries()
-	rhsTS := rhsProg.TypestateQueries()
-	if len(inlTS) != len(rhsTS) {
-		t.Fatalf("type-state query counts differ: inline %d vs rhs %d", len(inlTS), len(rhsTS))
-	}
 	const cap = 15
-	for i := range inlTS {
-		if i >= cap {
-			break
+	for _, c := range driver.Clients() {
+		inl := c.Queries(b.Prog)
+		tab := c.RHSQueries(rhsProg)
+		if len(inl) != len(tab) {
+			t.Fatalf("%s query counts differ: inline %d vs rhs %d", c.Name, len(inl), len(tab))
 		}
-		if inlTS[i].ID != rhsTS[i].ID {
-			t.Fatalf("query %d: ids differ: %s vs %s", i, inlTS[i].ID, rhsTS[i].ID)
-		}
-		want, err := core.Solve(b.Prog.TypestateJob(inlTS[i], 5), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.Solve(rhsProg.TypestateJob(rhsTS[i], 5), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Status != want.Status {
-			t.Errorf("%s: rhs %v vs inline %v", inlTS[i].ID, got.Status, want.Status)
-		}
-		if want.Status == core.Proved && got.Abstraction.Len() != want.Abstraction.Len() {
-			t.Errorf("%s: rhs |p|=%d vs inline %d", inlTS[i].ID, got.Abstraction.Len(), want.Abstraction.Len())
-		}
-	}
-
-	// Thread-escape client.
-	inlEsc := b.Prog.EscapeQueries()
-	rhsEsc := rhsProg.EscapeQueries()
-	if len(inlEsc) != len(rhsEsc) {
-		t.Fatalf("escape query counts differ: inline %d vs rhs %d", len(inlEsc), len(rhsEsc))
-	}
-	for i := range inlEsc {
-		if i >= cap {
-			break
-		}
-		if inlEsc[i].ID != rhsEsc[i].ID {
-			t.Fatalf("query %d: ids differ: %s vs %s", i, inlEsc[i].ID, rhsEsc[i].ID)
-		}
-		want, err := core.Solve(b.Prog.EscapeJob(inlEsc[i], 5), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.Solve(rhsProg.EscapeJob(rhsEsc[i], 5), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Status != want.Status {
-			t.Errorf("%s: rhs %v vs inline %v", inlEsc[i].ID, got.Status, want.Status)
-		}
-		if want.Status == core.Proved && got.Abstraction.Len() != want.Abstraction.Len() {
-			t.Errorf("%s: rhs |p|=%d vs inline %d", inlEsc[i].ID, got.Abstraction.Len(), want.Abstraction.Len())
+		for i := range inl {
+			if i >= cap {
+				break
+			}
+			if inl[i].ID != tab[i].ID {
+				t.Fatalf("%s query %d: ids differ: %s vs %s", c.Name, i, inl[i].ID, tab[i].ID)
+			}
+			want, err := core.Solve(c.Job(b.Prog, i, 5), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.Solve(c.RHSJob(rhsProg, i, 5, false), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Status != want.Status {
+				t.Errorf("%s: rhs %v vs inline %v", inl[i].ID, got.Status, want.Status)
+			}
+			if want.Status == core.Proved && got.Abstraction.Len() != want.Abstraction.Len() {
+				t.Errorf("%s: rhs |p|=%d vs inline %d", inl[i].ID, got.Abstraction.Len(), want.Abstraction.Len())
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"testing"
+
+	"tracer/internal/driver"
 )
 
 // TestGenerateDeterministic: the same config yields byte-identical source.
@@ -43,8 +45,8 @@ func TestSuiteLoads(t *testing.T) {
 func TestSuiteQueryGeneration(t *testing.T) {
 	for _, cfg := range SmallSuite() {
 		b := MustLoad(cfg)
-		ts := b.Prog.TypestateQueries()
-		esc := b.Prog.EscapeQueries()
+		ts := driver.ClientByName("typestate").Queries(b.Prog)
+		esc := driver.ClientByName("escape").Queries(b.Prog)
 		t.Logf("%-9s ts-queries=%d esc-queries=%d", cfg.Name, len(ts), len(esc))
 		if len(ts) == 0 {
 			t.Errorf("%s: no type-state queries", cfg.Name)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/lang"
 	"tracer/internal/obs"
@@ -18,7 +19,7 @@ import (
 // It is proved with cheapest abstraction {x, y} in exactly 3 iterations
 // (p = {} → {x} → {x, y}), the sequence the README and
 // typestate/figure1_test.go pin down.
-func figure1Job(t *testing.T) *typestate.Job {
+func figure1Job(t *testing.T) *client.Job[typestate.State] {
 	t.Helper()
 	prog := lang.SeqN(
 		lang.Atoms(lang.Alloc{V: "x", H: "h"}),
@@ -28,9 +29,10 @@ func figure1Job(t *testing.T) *typestate.Job {
 		lang.Atoms(lang.Invoke{V: "y", M: "close"}),
 	)
 	g := lang.BuildCFG(prog)
-	a := typestate.New(typestate.FileProperty(), "h", typestate.CollectVars(g))
+	vars, _, _ := lang.Names(g)
+	a := typestate.New(typestate.FileProperty(), "h", vars)
 	want := uset.Bits(0).Add(a.Prop.MustState("closed"))
-	return &typestate.Job{A: a, G: g, Q: typestate.Query{Nodes: []int{g.Exit}, Want: want}, K: 1}
+	return client.NewJob[typestate.State](a, client.Goal{Want: want}, g, []int{g.Exit}, 1)
 }
 
 // TestFigure1EventSequence replays Fig 1 with a capturing recorder and

@@ -82,20 +82,11 @@ func checkDeltaPair(t *testing.T, label string, cold, delta core.Problem) {
 // the resolution must match a cold solve of every query exactly.
 func TestDeltaMatchesColdInlining(t *testing.T) {
 	p := load(t)
-	for _, q := range p.TypestateQueries() {
-		cold := p.TypestateJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "typestate "+q.ID, cold, p.TypestateJob(q, 1))
-	}
-	for _, q := range p.EscapeQueries() {
-		cold := p.EscapeJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "escape "+q.ID, cold, p.EscapeJob(q, 1))
-	}
-	for _, q := range p.NullnessQueries() {
-		cold := p.NullnessJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "nullness "+q.ID, cold, p.NullnessJob(q, 1))
+	for _, c := range Clients() {
+		cold := c.Jobs(p, 1, true)
+		for i, q := range c.Queries(p) {
+			checkDeltaPair(t, c.Name+" "+q.ID, cold(i), c.Job(p, i, 1))
+		}
 	}
 }
 
@@ -106,20 +97,10 @@ func TestDeltaMatchesColdRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range p.TypestateQueries() {
-		cold := p.TypestateJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "rhs typestate "+q.ID, cold, p.TypestateJob(q, 1))
-	}
-	for _, q := range p.EscapeQueries() {
-		cold := p.EscapeJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "rhs escape "+q.ID, cold, p.EscapeJob(q, 1))
-	}
-	for _, q := range p.NullnessQueries() {
-		cold := p.NullnessJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "rhs nullness "+q.ID, cold, p.NullnessJob(q, 1))
+	for _, c := range Clients() {
+		for i, q := range c.RHSQueries(p) {
+			checkDeltaPair(t, "rhs "+c.Name+" "+q.ID, c.RHSJob(p, i, 1, true), c.RHSJob(p, i, 1, false))
+		}
 	}
 }
 
@@ -148,21 +129,14 @@ func resolutions(rs []core.Result) []resolution {
 // shifts between forward runs without changing any verdict).
 func TestDeltaMatchesColdBatch(t *testing.T) {
 	p := load(t)
-	mk := map[string]func() core.BatchProblem{
-		"escape": func() core.BatchProblem {
-			return NewEscapeBatch(p, p.EscapeQueries(), 1)
-		},
-		"typestate": func() core.BatchProblem {
-			return NewTypestateBatch(p, p.TypestateQueries(), 1)
-		},
-		"nullness": func() core.BatchProblem {
-			return NewNullnessBatch(p, p.NullnessQueries(), 1)
-		},
-	}
-	for client, build := range mk {
+	for _, c := range Clients() {
+		idx := make([]int, len(c.Queries(p)))
+		for i := range idx {
+			idx[i] = i
+		}
 		run := func(workers int, noDelta bool) ([]resolution, []obs.Event) {
 			cap := obs.NewCapture()
-			res, err := core.SolveBatch(build(), core.Options{
+			res, err := core.SolveBatch(c.Batch(p, idx, 1), core.Options{
 				Workers: workers, NoDelta: noDelta, Recorder: cap,
 			})
 			if err != nil {
@@ -173,7 +147,7 @@ func TestDeltaMatchesColdBatch(t *testing.T) {
 		wantRes, wantEvs := run(1, true)
 		for _, workers := range []int{1, 2, 4} {
 			for _, noDelta := range []bool{false, true} {
-				label := fmt.Sprintf("%s workers=%d nodelta=%t", client, workers, noDelta)
+				label := fmt.Sprintf("%s workers=%d nodelta=%t", c.Name, workers, noDelta)
 				gotRes, gotEvs := run(workers, noDelta)
 				if !reflect.DeepEqual(gotRes, wantRes) {
 					t.Fatalf("%s: resolutions %+v, reference %+v", label, gotRes, wantRes)

@@ -1,9 +1,9 @@
 // Package driver ties the front end together: it parses a mini-IR program,
 // runs the 0-CFA points-to analysis, lowers the program to a single CFG by
-// inlining, and generates queries the way the paper's evaluation does (§6):
-// a type-state query at each method call site (pc, h), and a thread-escape
-// query at each instance-field access (pc, v), restricted to application
-// code (classes whose names start with "Lib" play the role of the JDK).
+// inlining (or, in rhsdriver.go, onto a supergraph for tabulation), and
+// generates each registered client's queries the way the paper's evaluation
+// does (§6), restricted to application code (classes whose names start with
+// "Lib" play the role of the JDK).
 package driver
 
 import (
@@ -11,10 +11,12 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 
+	"tracer/internal/client"
 	"tracer/internal/escape"
 	"tracer/internal/ir"
-	"tracer/internal/nullness"
+	"tracer/internal/lang"
 	"tracer/internal/pointsto"
 	"tracer/internal/typestate"
 	"tracer/internal/uset"
@@ -24,28 +26,140 @@ import (
 // analyzed, mirroring how the paper poses no queries inside the JDK.
 const LibPrefix = "Lib"
 
-// Program is a loaded, lowered, and points-to-analyzed program.
-type Program struct {
-	IR  *ir.Program
-	PT  *pointsto.Result
-	Low *ir.Lowered
-
-	// Vars is the type-state parameter universe: the qualified pointer
-	// variables appearing in the lowered program, sorted.
-	Vars []string
-	// Locals, Fields, Sites are the thread-escape universes.
-	Locals, Fields, Sites []string
+// front is the part of a loaded program both pipelines share: points-to
+// facts, the parameter universes, and the generated-query memo.
+type front struct {
+	client.Universe
+	IR *ir.Program
+	PT *pointsto.Result
 
 	// varPts maps qualified variable names to their may-point-to site sets.
 	varPts map[string]uset.Set
+	// appSite marks the allocation sites that occur in application code.
+	appSite map[string]bool
 
-	escapeAnalysis *escape.Analysis
-	stressMethods  []string
+	// queries memoizes each client's generated query list, keyed by its
+	// *client.Spec; safe for concurrent use.
+	queries sync.Map
 
-	// stmtKeysMemo and siteOwnerMemo back StmtKey/SiteOwner; both are
-	// built on first use (not thread-safe, like escapeAnalysis).
-	stmtKeysMemo  map[ir.Stmt]string
-	siteOwnerMemo map[string]string
+	stmtKeysOnce, siteOwnerOnce sync.Once
+	stmtKeysMemo                map[ir.Stmt]string
+	siteOwnerMemo               map[string]string
+}
+
+// occurrence is one lowered occurrence of an application statement that
+// clients may pose generated queries at; at is its program point.
+type occurrence[P any] struct {
+	m    *ir.Method
+	stmt ir.Stmt
+	o    client.Occurrence
+	at   P
+}
+
+// newFront prepares the shared front end over the lowered atoms flat and the
+// application occurrences occs of one pipeline.
+func newFront[P any](prog *ir.Program, pt *pointsto.Result, flat *lang.CFG, occs []occurrence[P]) *front {
+	f := &front{IR: prog, PT: pt, varPts: map[string]uset.Set{}, appSite: map[string]bool{}}
+	f.Locals, f.Fields, f.Sites = lang.Names(flat)
+	for _, m := range pt.ReachableMethods() {
+		if m.Native {
+			continue
+		}
+		vars := append([]string{"this"}, m.Params...)
+		vars = append(vars, m.Locals...)
+		for _, v := range vars {
+			f.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
+		}
+	}
+	for _, m := range prog.Methods() {
+		if IsApp(m) {
+			ir.WalkStmts(m.Body, func(s ir.Stmt) {
+				if n, ok := s.(*ir.NewStmt); ok {
+					f.appSite[n.Site] = true
+				}
+			})
+		}
+	}
+	called := map[string]bool{}
+	for _, oc := range occs {
+		if cs, ok := oc.stmt.(*ir.CallStmt); ok && !called[cs.Method] {
+			called[cs.Method] = true
+			f.Methods = append(f.Methods, cs.Method)
+		}
+	}
+	sort.Strings(f.Methods)
+	f.MayPoint = f.mayPoint
+	f.AppSites = f.appSites
+	return f
+}
+
+// Query is one generated query of a pipeline whose program points are P:
+// CFG nodes (int) for the inlining pipeline, supergraph points for RHS.
+type Query[P any] struct {
+	ID string
+	// Key is the position-independent identity used by the warm-start
+	// store: unlike ID (which embeds line:col), it survives reformatting
+	// and edits to other methods.
+	Key  string
+	Goal client.Goal
+	Stmt ir.Stmt
+	// At lists the lowered occurrences of Stmt, in order. Shared by every
+	// job of the query; never mutated.
+	At []P
+}
+
+// queryMemo is one client's generated query list, built once.
+type queryMemo[P any] struct {
+	once sync.Once
+	qs   []Query[P]
+}
+
+// generated returns spec's queries over occs: one per (statement, goal
+// subject) pair the spec poses, with deterministic order. The list is built
+// once per program and shared.
+func generated[D comparable, P any](f *front, spec *client.Spec[D], occs []occurrence[P], less func(a, b P) bool) []Query[P] {
+	v, ok := f.queries.Load(spec)
+	if !ok {
+		v, _ = f.queries.LoadOrStore(spec, &queryMemo[P]{})
+	}
+	m := v.(*queryMemo[P])
+	m.once.Do(func() {
+		type key struct {
+			stmt    ir.Stmt
+			subject string
+		}
+		idx := map[key]int{}
+		for _, oc := range occs {
+			for _, g := range spec.Goals(&f.Universe, oc.o) {
+				k := key{oc.stmt, g.Subject}
+				i, seen := idx[k]
+				if !seen {
+					i = len(m.qs)
+					idx[k] = i
+					m.qs = append(m.qs, Query[P]{
+						ID:   fmt.Sprintf("%s:%s:%s:%s", spec.Prefix, oc.m.QualName(), oc.stmt.Position(), g.Subject),
+						Key:  spec.Prefix + ":" + f.StmtKey(oc.stmt) + ":" + g.Subject,
+						Goal: g,
+						Stmt: oc.stmt,
+					})
+				}
+				m.qs[i].At = append(m.qs[i].At, oc.at)
+			}
+		}
+		for _, q := range m.qs {
+			sort.Slice(q.At, func(i, j int) bool { return less(q.At[i], q.At[j]) })
+		}
+		sort.Slice(m.qs, func(i, j int) bool { return m.qs[i].ID < m.qs[j].ID })
+	})
+	return m.qs
+}
+
+// Program is a loaded, lowered, and points-to-analyzed program.
+type Program struct {
+	*front
+	Low *ir.Lowered
+
+	occs []occurrence[int]
 }
 
 // Load parses src and prepares all analyses.
@@ -67,68 +181,48 @@ func Prepare(prog *ir.Program) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{IR: prog, PT: pt, Low: low, varPts: map[string]uset.Set{}}
-	p.Vars = typestate.CollectVars(low.G)
-	p.Locals, p.Fields, p.Sites = escape.Universe(low.G)
-	for _, m := range pt.ReachableMethods() {
-		if m.Native {
-			continue
-		}
-		vars := append([]string{"this"}, m.Params...)
-		vars = append(vars, m.Locals...)
-		for _, v := range vars {
-			p.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
-		}
-	}
-	methodSet := map[string]bool{}
+	p := &Program{Low: low}
 	for _, cs := range low.Calls {
-		if p.IsApp(cs.Method) {
-			methodSet[cs.Stmt.Method] = true
+		if IsApp(cs.Method) {
+			p.occs = append(p.occs, occurrence[int]{cs.Method, cs.Stmt, client.Occurrence{Call: true, Var: cs.Recv}, cs.Node})
 		}
 	}
-	for name := range methodSet {
-		p.stressMethods = append(p.stressMethods, name)
+	for _, fa := range low.Accesses {
+		if IsApp(fa.Method) {
+			p.occs = append(p.occs, occurrence[int]{fa.Method, fa.Stmt, client.Occurrence{Var: fa.Base}, fa.Node})
+		}
 	}
-	sort.Strings(p.stressMethods)
+	p.front = newFront(prog, pt, low.G, p.occs)
 	return p, nil
 }
-
-// StressMethods lists the application method names driving the generated
-// stress type-state property, sorted. The warm-start layer includes them in
-// its per-client configuration hash: the property automaton is built from
-// this whole-program list, so an edit that introduces a new called method
-// name changes the meaning of every stored type-state entry.
-func (p *Program) StressMethods() []string { return p.stressMethods }
 
 // StmtKey returns a stable, position-independent identity for a source
 // statement ("Class.method#<ordinal>#<rendering>"); queries keyed by it keep
 // their identity across reformatting and across edits to other methods. The
 // table is built on first use.
-func (p *Program) StmtKey(s ir.Stmt) string {
-	if p.stmtKeysMemo == nil {
-		p.stmtKeysMemo = ir.StmtKeys(p.IR)
-	}
-	return p.stmtKeysMemo[s]
+func (f *front) StmtKey(s ir.Stmt) string {
+	f.stmtKeysOnce.Do(func() { f.stmtKeysMemo = ir.StmtKeys(f.IR) })
+	return f.stmtKeysMemo[s]
 }
 
 // SiteOwner returns the QualName of the method whose body allocates at site
 // h, or "" when h is unknown. The warm-start layer treats the owner as a
 // supporting method of any counterexample trace mentioning h.
-func (p *Program) SiteOwner(h string) string {
-	if p.siteOwnerMemo == nil {
-		p.siteOwnerMemo = map[string]string{}
-		for _, m := range p.IR.Methods() {
+func (f *front) SiteOwner(h string) string {
+	f.siteOwnerOnce.Do(func() {
+		f.siteOwnerMemo = map[string]string{}
+		for _, m := range f.IR.Methods() {
 			qual := m.QualName()
 			ir.WalkStmts(m.Body, func(s ir.Stmt) {
 				if n, ok := s.(*ir.NewStmt); ok {
-					if _, dup := p.siteOwnerMemo[n.Site]; !dup {
-						p.siteOwnerMemo[n.Site] = qual
+					if _, dup := f.siteOwnerMemo[n.Site]; !dup {
+						f.siteOwnerMemo[n.Site] = qual
 					}
 				}
 			})
 		}
-	}
-	return p.siteOwnerMemo[h]
+	})
+	return f.siteOwnerMemo[h]
 }
 
 // EnvHash digests the points-to environment restricted to the given methods
@@ -138,13 +232,13 @@ func (p *Program) SiteOwner(h string) string {
 // hash is unchanged — the trace's call branches were selected by exactly
 // these points-to sets. Labels (not interned IDs) are hashed so the result
 // is comparable across separately-loaded programs.
-func (p *Program) EnvHash(methods []string) uint64 {
+func (f *front) EnvHash(methods []string) uint64 {
 	want := make(map[string]bool, len(methods))
 	for _, m := range methods {
 		want[m] = true
 	}
 	var qvs []string
-	for qv := range p.varPts {
+	for qv := range f.varPts {
 		if i := strings.Index(qv, "::"); i >= 0 && want[qv[:i]] {
 			qvs = append(qvs, qv)
 		}
@@ -156,8 +250,8 @@ func (p *Program) EnvHash(methods []string) uint64 {
 		h.Write([]byte(qv))
 		h.Write([]byte{0})
 		labels = labels[:0]
-		for _, id := range p.varPts[qv].Elems() {
-			labels = append(labels, p.PT.Sites.Value(id))
+		for _, id := range f.varPts[qv].Elems() {
+			labels = append(labels, f.PT.Sites.Value(id))
 		}
 		sort.Strings(labels)
 		for _, l := range labels {
@@ -170,309 +264,88 @@ func (p *Program) EnvHash(methods []string) uint64 {
 }
 
 // IsApp reports whether a method belongs to application code.
-func (p *Program) IsApp(m *ir.Method) bool {
+func IsApp(m *ir.Method) bool {
 	return !strings.HasPrefix(m.Class.Name, LibPrefix)
 }
 
-// isAppSite reports whether allocation site h occurs in application code.
-func (p *Program) isAppSite(h string) bool {
-	found := false
-	for _, m := range p.IR.Methods() {
-		if !p.IsApp(m) {
-			continue
-		}
-		walkStmts(m.Body, func(s ir.Stmt) {
-			if n, ok := s.(*ir.NewStmt); ok && n.Site == h {
-				found = true
-			}
-		})
-	}
-	return found
-}
-
-func walkStmts(body []ir.Stmt, f func(ir.Stmt)) {
-	for _, s := range body {
-		f(s)
-		switch s := s.(type) {
-		case *ir.IfStmt:
-			walkStmts(s.Then, f)
-			walkStmts(s.Else, f)
-		case *ir.LoopStmt:
-			walkStmts(s.Body, f)
-		}
-	}
-}
-
-// MayPoint returns the oracle "may qualified variable qv point to site h".
-func (p *Program) MayPoint(h string) func(qv string) bool {
-	id, ok := p.PT.Sites.Lookup(h)
+// mayPoint returns the oracle "may qualified variable qv point to site h".
+func (f *front) mayPoint(h string) func(qv string) bool {
+	id, ok := f.PT.Sites.Lookup(h)
 	if !ok {
 		return func(string) bool { return false }
 	}
-	return func(qv string) bool { return p.varPts[qv].Has(id) }
+	return func(qv string) bool { return f.varPts[qv].Has(id) }
 }
 
-// TSQuery is a generated type-state query: at source call site Stmt, is
-// every object allocated at Site that the receiver may denote still in the
-// automaton's initial state?
-type TSQuery struct {
-	ID string
-	// Key is the position-independent identity used by the warm-start
-	// store: unlike ID (which embeds line:col), it survives reformatting
-	// and edits to other methods.
-	Key   string
-	Site  string
-	Stmt  *ir.CallStmt
-	Nodes []int
-}
-
-// TypestateQueries generates one query per (application call site, tracked
-// application site h) pair with the receiver possibly pointing to h,
-// mirroring §6. Results are deterministically ordered.
-func (p *Program) TypestateQueries() []TSQuery {
-	type key struct {
-		stmt *ir.CallStmt
-		site string
-	}
-	nodes := map[key][]int{}
-	meta := map[key]ir.CallSite{}
-	appSite := map[string]bool{}
-	for i := 0; i < p.PT.Sites.Len(); i++ {
-		h := p.PT.Sites.Value(i)
-		appSite[h] = p.isAppSite(h)
-	}
-	for _, cs := range p.Low.Calls {
-		if !p.IsApp(cs.Method) {
-			continue
+// appSites lists the application allocation sites qv may point to.
+func (f *front) appSites(qv string) []string {
+	var out []string
+	for _, hid := range f.varPts[qv].Elems() {
+		if h := f.PT.Sites.Value(hid); f.appSite[h] {
+			out = append(out, h)
 		}
-		pts := p.varPts[cs.Recv]
-		for _, hid := range pts.Elems() {
-			h := p.PT.Sites.Value(hid)
-			if !appSite[h] {
-				continue
-			}
-			k := key{cs.Stmt, h}
-			nodes[k] = append(nodes[k], cs.Node)
-			meta[k] = cs
-		}
-	}
-	var out []TSQuery
-	for k, ns := range nodes {
-		sort.Ints(ns)
-		out = append(out, TSQuery{
-			ID:    fmt.Sprintf("ts:%s:%s:%s", meta[k].Method.QualName(), k.stmt.Position(), k.site),
-			Key:   "ts:" + p.StmtKey(k.stmt) + ":" + k.site,
-			Site:  k.site,
-			Stmt:  k.stmt,
-			Nodes: ns,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// TypestateJob builds the core.Problem for a generated stress query.
-func (p *Program) TypestateJob(q TSQuery, k int) *typestate.Job {
-	prop := typestate.StressProperty(p.stressMethods)
-	a := typestate.New(prop, q.Site, p.Vars)
-	a.MayPoint = p.MayPoint(q.Site)
-	return &typestate.Job{
-		A: a,
-		G: p.Low.G,
-		Q: typestate.Query{Nodes: q.Nodes, Want: uset.Bits(0).Add(prop.Init)},
-		K: k,
-	}
-}
-
-// EscQuery is a generated thread-escape query: at source field access Stmt,
-// is the base pointer thread-local?
-type EscQuery struct {
-	ID string
-	// Key is the position-independent identity used by the warm-start
-	// store (see TSQuery.Key).
-	Key   string
-	Var   string // qualified base variable
-	Stmt  ir.Stmt
-	Nodes []int
-}
-
-// EscapeQueries generates one query per application field access, as §6
-// does for the datarace client.
-func (p *Program) EscapeQueries() []EscQuery {
-	type key struct {
-		stmt ir.Stmt
-		base string
-	}
-	nodes := map[key][]int{}
-	meta := map[key]ir.FieldAccess{}
-	for _, fa := range p.Low.Accesses {
-		if !p.IsApp(fa.Method) {
-			continue
-		}
-		k := key{fa.Stmt, fa.Base}
-		nodes[k] = append(nodes[k], fa.Node)
-		meta[k] = fa
-	}
-	var out []EscQuery
-	for k, ns := range nodes {
-		sort.Ints(ns)
-		out = append(out, EscQuery{
-			ID:    fmt.Sprintf("esc:%s:%s:%s", meta[k].Method.QualName(), k.stmt.Position(), k.base),
-			Key:   "esc:" + p.StmtKey(k.stmt) + ":" + k.base,
-			Var:   k.base,
-			Stmt:  k.stmt,
-			Nodes: ns,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// NullQuery is a generated null-dereference query: at source field access
-// Stmt, is the base pointer definitely non-nil?
-type NullQuery struct {
-	ID string
-	// Key is the position-independent identity used by the warm-start
-	// store (see TSQuery.Key).
-	Key   string
-	Var   string // qualified base variable
-	Stmt  ir.Stmt
-	Nodes []int
-}
-
-// NullnessQueries generates one query per application field access — the
-// same dereference points the escape client guards, asked the null-safety
-// question instead.
-func (p *Program) NullnessQueries() []NullQuery {
-	type key struct {
-		stmt ir.Stmt
-		base string
-	}
-	nodes := map[key][]int{}
-	meta := map[key]ir.FieldAccess{}
-	for _, fa := range p.Low.Accesses {
-		if !p.IsApp(fa.Method) {
-			continue
-		}
-		k := key{fa.Stmt, fa.Base}
-		nodes[k] = append(nodes[k], fa.Node)
-		meta[k] = fa
-	}
-	var out []NullQuery
-	for k, ns := range nodes {
-		sort.Ints(ns)
-		out = append(out, NullQuery{
-			ID:    fmt.Sprintf("null:%s:%s:%s", meta[k].Method.QualName(), k.stmt.Position(), k.base),
-			Key:   "null:" + p.StmtKey(k.stmt) + ":" + k.base,
-			Var:   k.base,
-			Stmt:  k.stmt,
-			Nodes: ns,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// FreshNullnessAnalysis builds an independent nullness analysis over the
-// program's cell universes (nullness shares the escape client's locals and
-// fields, which cover every name the CFG's atoms mention).
-func (p *Program) FreshNullnessAnalysis() *nullness.Analysis {
-	return nullness.New(p.Locals, p.Fields)
-}
-
-// NullnessJob builds the core.Problem for a generated nullness query. Each
-// job gets its own analysis instance so jobs can be solved concurrently.
-func (p *Program) NullnessJob(q NullQuery, k int) *nullness.Job {
-	return &nullness.Job{
-		A: p.FreshNullnessAnalysis(),
-		G: p.Low.G,
-		Q: nullness.Query{Nodes: q.Nodes, V: q.Var},
-		K: k,
-	}
-}
-
-// EscapeAnalysis returns a (query-independent) thread-escape analysis for
-// the program, built once. Analyses intern abstract states and are
-// therefore not safe for concurrent use; callers resolving queries in
-// parallel must use FreshEscapeAnalysis per goroutine.
-func (p *Program) EscapeAnalysis() *escape.Analysis {
-	if p.escapeAnalysis == nil {
-		p.escapeAnalysis = p.FreshEscapeAnalysis()
-	}
-	return p.escapeAnalysis
-}
-
-// FreshEscapeAnalysis builds an independent analysis instance over the
-// program's universes.
-func (p *Program) FreshEscapeAnalysis() *escape.Analysis {
-	return escape.New(p.Locals, p.Fields, p.Sites)
-}
-
-// EscapeJob builds the core.Problem for a generated escape query. Each job
-// gets its own analysis instance so jobs can be solved concurrently.
-func (p *Program) EscapeJob(q EscQuery, k int) *escape.Job {
-	return &escape.Job{
-		A: p.FreshEscapeAnalysis(),
-		G: p.Low.G,
-		Q: escape.Query{Nodes: q.Nodes, V: q.Var},
-		K: k,
-	}
-}
-
-// ExplicitEscapeJobs builds jobs for the program's explicit
-// "query name local(v)" statements.
-func (p *Program) ExplicitEscapeJobs(k int) map[string]*escape.Job {
-	out := map[string]*escape.Job{}
-	for _, q := range p.Low.Queries {
-		if q.Kind != ir.QueryLocal {
-			continue
-		}
-		job := out[q.Name]
-		if job == nil {
-			job = p.EscapeJob(EscQuery{Var: q.Var}, k)
-			out[q.Name] = job
-		}
-		job.Q.Nodes = append(job.Q.Nodes, q.Node)
 	}
 	return out
 }
 
-// ExplicitTypestateJobs builds jobs for "query name state(v: ...)"
-// statements against a user-supplied property; each query yields one job
-// per site its variable may point to, keyed "name@site".
-func (p *Program) ExplicitTypestateJobs(prop *typestate.Property, k int) (map[string]*typestate.Job, error) {
-	out := map[string]*typestate.Job{}
-	for _, q := range p.Low.Queries {
-		if q.Kind != ir.QueryTypestate {
-			continue
+// explicitGoals groups a pipeline's explicit query statements by name:
+// "query name local(v)" is a thread-escape goal on v, and "query name
+// state(v: ...)" against prop is one type-state goal per site v may point
+// to, named "name@site". stmt maps a lowered statement to its query and
+// program point.
+func explicitGoals[Q, P any](f *front, qs []Q, prop *typestate.Property, stmt func(Q) (ir.ExplicitQuery, P)) (ts, esc map[string]*Query[P], err error) {
+	ts, esc = map[string]*Query[P]{}, map[string]*Query[P]{}
+	add := func(m map[string]*Query[P], name string, g client.Goal, at P) {
+		if m[name] == nil {
+			m[name] = &Query[P]{ID: name, Goal: g}
 		}
-		var want uset.Bits
-		for _, s := range q.States {
-			found := false
-			for i, name := range prop.States {
-				if name == s {
-					want = want.Add(i)
-					found = true
+		m[name].At = append(m[name].At, at)
+	}
+	for _, raw := range qs {
+		q, at := stmt(raw)
+		switch q.Kind {
+		case ir.QueryLocal:
+			add(esc, q.Name, client.Goal{Subject: q.Var}, at)
+		case ir.QueryTypestate:
+			var want uset.Bits
+			for _, s := range q.States {
+				found := false
+				for i, name := range prop.States {
+					if name == s {
+						want = want.Add(i)
+						found = true
+					}
+				}
+				if !found {
+					return nil, nil, fmt.Errorf("driver: query %s: unknown automaton state %q", q.Name, s)
 				}
 			}
-			if !found {
-				return nil, fmt.Errorf("driver: query %s: unknown automaton state %q", q.Name, s)
+			for _, hid := range f.varPts[q.Var].Elems() {
+				h := f.PT.Sites.Value(hid)
+				add(ts, q.Name+"@"+h, client.Goal{Subject: h, Want: want}, at)
 			}
-		}
-		for _, hid := range p.varPts[q.Var].Elems() {
-			h := p.PT.Sites.Value(hid)
-			keyName := q.Name + "@" + h
-			job := out[keyName]
-			if job == nil {
-				a := typestate.New(prop, h, p.Vars)
-				a.MayPoint = p.MayPoint(h)
-				job = &typestate.Job{A: a, G: p.Low.G, Q: typestate.Query{Want: want}, K: k}
-				out[keyName] = job
-			}
-			job.Q.Nodes = append(job.Q.Nodes, q.Node)
 		}
 	}
-	return out, nil
+	return ts, esc, nil
+}
+
+// ExplicitJobs builds jobs for the program's explicit query statements: the
+// type-state jobs of "query name state(v: ...)" against prop, keyed
+// "name@site", and the thread-escape jobs of "query name local(v)".
+func (p *Program) ExplicitJobs(prop *typestate.Property, k int) (map[string]*client.Job[typestate.State], map[string]*client.Job[escape.State], error) {
+	ts, esc, err := explicitGoals(p.front, p.Low.Queries, prop, func(q ir.ExplicitQuery) (ir.ExplicitQuery, int) { return q, q.Node })
+	if err != nil {
+		return nil, nil, err
+	}
+	return inlineJobs(p, typestate.NewSpec(prop), ts, k), inlineJobs(p, escape.Spec, esc, k), nil
+}
+
+func inlineJobs[D comparable](p *Program, spec *client.Spec[D], qs map[string]*Query[int], k int) map[string]*client.Job[D] {
+	out := make(map[string]*client.Job[D], len(qs))
+	for name, q := range qs {
+		out[name] = client.NewJob(spec.New(&p.Universe, q.Goal), q.Goal, p.Low.G, q.At, k)
+	}
+	return out
 }
 
 // Stats summarizes program size for Table 1.
@@ -489,7 +362,7 @@ type Stats struct {
 // ComputeStats gathers Table 1 statistics. src may be empty (lines = 0).
 func (p *Program) ComputeStats(src string) Stats {
 	s := Stats{
-		TypestateParams: len(p.Vars),
+		TypestateParams: len(p.Locals),
 		EscapeParams:    len(p.Sites),
 		NullnessParams:  len(p.Locals) + len(p.Fields),
 		SourceLines:     strings.Count(src, "\n") + 1,
@@ -510,7 +383,7 @@ func (p *Program) ComputeStats(src string) Stats {
 	}
 	s.TotalAtoms = p.Low.Atoms
 	for m, n := range p.Low.AtomsByMethod {
-		if p.IsApp(m) {
+		if IsApp(m) {
 			s.AppAtoms += n
 		}
 	}

@@ -1,9 +1,13 @@
 package driver
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"tracer/internal/core"
+	"tracer/internal/escape"
+	"tracer/internal/ir"
 	"tracer/internal/typestate"
 )
 
@@ -98,7 +102,7 @@ func TestPointsToResolvesDispatch(t *testing.T) {
 
 func TestQueryGeneration(t *testing.T) {
 	p := load(t)
-	ts := p.TypestateQueries()
+	ts := inlineQueries(p, typestate.Spec)
 	if len(ts) == 0 {
 		t.Fatal("no type-state queries generated")
 	}
@@ -106,14 +110,14 @@ func TestQueryGeneration(t *testing.T) {
 	// reach; f.open() with hFile must be among them.
 	found := false
 	for _, q := range ts {
-		if q.Site == "hFile" && q.Stmt.Method == "open" {
+		if q.Goal.Subject == "hFile" && q.Stmt.(*ir.CallStmt).Method == "open" {
 			found = true
 		}
 	}
 	if !found {
 		t.Errorf("missing (f.open(), hFile) query; got %d queries", len(ts))
 	}
-	esc := p.EscapeQueries()
+	esc := inlineQueries(p, escape.Spec)
 	if len(esc) == 0 {
 		t.Fatal("no escape queries generated")
 	}
@@ -124,7 +128,10 @@ func TestQueryGeneration(t *testing.T) {
 // analysis maps hConn and hBuf to L; p never escapes.
 func TestExplicitEscapeQueries(t *testing.T) {
 	p := load(t)
-	jobs := p.ExplicitEscapeJobs(5)
+	_, jobs, err := p.ExplicitJobs(typestate.FileProperty(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(jobs) != 2 {
 		t.Fatalf("explicit escape jobs = %d, want 2", len(jobs))
 	}
@@ -152,7 +159,7 @@ func TestExplicitEscapeQueries(t *testing.T) {
 // the end) must be provable, since open/close are called in order on f.
 func TestExplicitTypestateQuery(t *testing.T) {
 	p := load(t)
-	jobs, err := p.ExplicitTypestateJobs(typestate.FileProperty(), 5)
+	jobs, _, err := p.ExplicitJobs(typestate.FileProperty(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,22 +188,46 @@ func keys[V any](m map[string]*V) []string {
 // both clients and requires a definite outcome.
 func TestGeneratedQueriesResolve(t *testing.T) {
 	p := load(t)
-	for _, q := range p.TypestateQueries() {
-		res, err := core.Solve(p.TypestateJob(q, 5), core.Options{MaxIters: 100})
-		if err != nil {
-			t.Fatalf("%s: %v", q.ID, err)
-		}
-		if res.Status == core.Exhausted {
-			t.Errorf("%s: exhausted", q.ID)
+	for _, name := range []string{"typestate", "escape"} {
+		c := ClientByName(name)
+		for i, q := range c.Queries(p) {
+			res, err := core.Solve(c.Job(p, i, 5), core.Options{MaxIters: 100})
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			if res.Status == core.Exhausted {
+				t.Errorf("%s: exhausted", q.ID)
+			}
 		}
 	}
-	for _, q := range p.EscapeQueries() {
-		res, err := core.Solve(p.EscapeJob(q, 5), core.Options{MaxIters: 100})
-		if err != nil {
-			t.Fatalf("%s: %v", q.ID, err)
-		}
-		if res.Status == core.Exhausted {
-			t.Errorf("%s: exhausted", q.ID)
+}
+
+// TestQueryMemoConcurrent: a Program is shared by concurrent server rounds,
+// so the lazily built query lists (and the statement-key memo behind them)
+// must be safe to build and read from several goroutines at once, and every
+// caller must see the same list.
+func TestQueryMemoConcurrent(t *testing.T) {
+	p := load(t)
+	var wg sync.WaitGroup
+	lists := make([][][]GenQuery, 4)
+	for w := range lists {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, c := range Clients() {
+				qs := c.Queries(p)
+				lists[w] = append(lists[w], qs)
+				if len(qs) > 0 {
+					c.Job(p, len(qs)-1, 1)
+					c.Batch(p, []int{0}, 1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < len(lists); w++ {
+		if !reflect.DeepEqual(lists[w], lists[0]) {
+			t.Fatalf("goroutine %d saw different query lists", w)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package driver
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sort"
-	"strings"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
+	"tracer/internal/escape"
+	"tracer/internal/nullness"
+	"tracer/internal/rhs"
+	"tracer/internal/typestate"
 )
 
 // GenQuery is the client-independent view of one generated query: the layers
@@ -19,10 +21,9 @@ type GenQuery struct {
 }
 
 // ClientSpec describes one parametric analysis client to every layer above
-// the driver. The registry replaces the hard-coded two-way client switches
-// that had calcified across the stack; adding a client means implementing
-// the client contract (Theory, TransferDep with signed dependency literals,
-// WP atoms, FindFailure) and appending one entry here.
+// the driver. Each entry wraps a client.Spec with the generic job, batch, and
+// query plumbing; adding a client means implementing client.Spec in its own
+// package and appending one entry to the registry.
 type ClientSpec struct {
 	// Name is the wire name of the client ("typestate", "escape",
 	// "nullness"); the warm store's Client values coincide with it.
@@ -30,8 +31,8 @@ type ClientSpec struct {
 	// BenchName is the display name the bench tables print ("type-state").
 	BenchName string
 
-	// Queries lists the client's generated queries for a program, in the
-	// same deterministic order as the typed query generators.
+	// Queries lists the client's generated queries for a program, in a
+	// deterministic order. The list is built once per program.
 	Queries func(p *Program) []GenQuery
 	// Job builds the core.Problem for query index i (into Queries' order).
 	Job func(p *Program, i, k int) core.Problem
@@ -44,99 +45,98 @@ type ClientSpec struct {
 	// config signature ("" when the client has no whole-program knob
 	// beyond k).
 	WarmConfExtra func(p *Program) string
+
+	// Jobs returns a builder of the jobs Job builds, except that they share
+	// one literal universe and one WP cache per analysis-sharing key, as
+	// Batch's backward jobs do; noDelta selects the cold forward executor.
+	// The builder is safe for concurrent use.
+	Jobs func(p *Program, k int, noDelta bool) func(i int) core.Problem
+	// RHSQueries and RHSJob are Queries and Job over the tabulation
+	// pipeline.
+	RHSQueries func(p *RHSProgram) []GenQuery
+	RHSJob     func(p *RHSProgram, i, k int, noDelta bool) RHSProblem
 }
 
 // clientSpecs is the registry, in stable presentation order.
 var clientSpecs = []*ClientSpec{
-	{
-		Name:      "typestate",
-		BenchName: "type-state",
-		Queries: func(p *Program) []GenQuery {
-			qs := p.TypestateQueries()
-			out := make([]GenQuery, len(qs))
-			for i, q := range qs {
-				out[i] = GenQuery{ID: q.ID, Key: q.Key}
-			}
-			return out
-		},
+	register("typestate", "type-state", typestate.Spec),
+	register("escape", "thread-escape", escape.Spec),
+	register("nullness", "null-deref", nullness.Spec),
+}
+
+// register wraps a client.Spec with the generic plumbing of both pipelines.
+func register[D comparable](name, benchName string, spec *client.Spec[D]) *ClientSpec {
+	return &ClientSpec{
+		Name:      name,
+		BenchName: benchName,
+		Queries:   func(p *Program) []GenQuery { return genQueries(inlineQueries(p, spec)) },
 		Job: func(p *Program, i, k int) core.Problem {
-			return p.TypestateJob(p.TypestateQueries()[i], k)
+			q := inlineQueries(p, spec)[i]
+			return client.NewJob(spec.New(&p.Universe, q.Goal), q.Goal, p.Low.G, q.At, k)
 		},
 		Batch: func(p *Program, idx []int, k int) core.BatchProblem {
-			all := p.TypestateQueries()
-			qs := make([]TSQuery, 0, len(idx))
-			for _, i := range idx {
-				qs = append(qs, all[i])
+			all := inlineQueries(p, spec)
+			qs := make([]Query[int], len(idx))
+			for n, i := range idx {
+				qs[n] = all[i]
 			}
-			return NewTypestateBatch(p, qs, k)
+			goals, nodes := split(qs)
+			return client.NewBatch(spec, &p.Universe, p.Low.G, goals, nodes, k)
 		},
-		ParamNames: func(p *Program) []string { return p.Vars },
-		// The stress property's method list is whole-program state for the
-		// type-state client: an edit that introduces a new called method name
-		// changes the meaning of every stored entry.
+		ParamNames: func(p *Program) []string { return spec.ParamNames(&p.Universe) },
 		WarmConfExtra: func(p *Program) string {
-			return fmt.Sprintf("|stress=%08x", fnv32String(strings.Join(p.StressMethods(), ",")))
-		},
-	},
-	{
-		Name:      "escape",
-		BenchName: "thread-escape",
-		Queries: func(p *Program) []GenQuery {
-			qs := p.EscapeQueries()
-			out := make([]GenQuery, len(qs))
-			for i, q := range qs {
-				out[i] = GenQuery{ID: q.ID, Key: q.Key}
+			if spec.ConfExtra == nil {
+				return ""
 			}
-			return out
+			return spec.ConfExtra(&p.Universe)
 		},
-		Job: func(p *Program, i, k int) core.Problem {
-			return p.EscapeJob(p.EscapeQueries()[i], k)
-		},
-		Batch: func(p *Program, idx []int, k int) core.BatchProblem {
-			all := p.EscapeQueries()
-			qs := make([]EscQuery, 0, len(idx))
-			for _, i := range idx {
-				qs = append(qs, all[i])
+		Jobs: func(p *Program, k int, noDelta bool) func(i int) core.Problem {
+			goals, nodes := split(inlineQueries(p, spec))
+			mk, _ := spec.Jobs(&p.Universe, p.Low.G, goals, nodes, k)
+			return func(i int) core.Problem {
+				j := mk(i)
+				j.NoDelta = noDelta
+				return j
 			}
-			return NewEscapeBatch(p, qs, k)
 		},
-		ParamNames:    func(p *Program) []string { return p.Sites },
-		WarmConfExtra: func(p *Program) string { return "" },
-	},
-	{
-		Name:      "nullness",
-		BenchName: "null-deref",
-		Queries: func(p *Program) []GenQuery {
-			qs := p.NullnessQueries()
-			out := make([]GenQuery, len(qs))
-			for i, q := range qs {
-				out[i] = GenQuery{ID: q.ID, Key: q.Key}
-			}
-			return out
+		RHSQueries: func(p *RHSProgram) []GenQuery { return genQueries(rhsQueries(p, spec)) },
+		RHSJob: func(p *RHSProgram, i, k int, noDelta bool) RHSProblem {
+			q := rhsQueries(p, spec)[i]
+			j := newRHSJob(spec.New(&p.Universe, q.Goal), q.Goal, p.SP.G, q.At, k)
+			j.NoDelta = noDelta
+			return j
 		},
-		Job: func(p *Program, i, k int) core.Problem {
-			return p.NullnessJob(p.NullnessQueries()[i], k)
-		},
-		Batch: func(p *Program, idx []int, k int) core.BatchProblem {
-			all := p.NullnessQueries()
-			qs := make([]NullQuery, 0, len(idx))
-			for _, i := range idx {
-				qs = append(qs, all[i])
-			}
-			return NewNullnessBatch(p, qs, k)
-		},
-		// Cell order matches nullness.Analysis parameter indices: locals
-		// first (sorted), then field cells with the "." prefix.
-		ParamNames: func(p *Program) []string {
-			out := make([]string, 0, len(p.Locals)+len(p.Fields))
-			out = append(out, p.Locals...)
-			for _, f := range p.Fields {
-				out = append(out, "."+f)
-			}
-			return out
-		},
-		WarmConfExtra: func(p *Program) string { return "" },
-	},
+	}
+}
+
+// inlineQueries and rhsQueries are spec's generated queries on either
+// pipeline, built once per program.
+func inlineQueries[D comparable](p *Program, spec *client.Spec[D]) []Query[int] {
+	return generated(p.front, spec, p.occs, func(a, b int) bool { return a < b })
+}
+
+func rhsQueries[D comparable](p *RHSProgram, spec *client.Spec[D]) []Query[rhs.Point] {
+	return generated(p.front, spec, p.occs, func(a, b rhs.Point) bool {
+		return a.Method < b.Method || a.Method == b.Method && a.Node < b.Node
+	})
+}
+
+// split separates inline queries into the goals and node lists a batch or a
+// job builder takes.
+func split(qs []Query[int]) ([]client.Goal, [][]int) {
+	goals, nodes := make([]client.Goal, len(qs)), make([][]int, len(qs))
+	for i, q := range qs {
+		goals[i], nodes[i] = q.Goal, q.At
+	}
+	return goals, nodes
+}
+
+func genQueries[P any](qs []Query[P]) []GenQuery {
+	out := make([]GenQuery, len(qs))
+	for i, q := range qs {
+		out[i] = GenQuery{ID: q.ID, Key: q.Key}
+	}
+	return out
 }
 
 // Clients returns the registered client specs in stable order. The slice is
@@ -161,12 +161,4 @@ func ClientNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// fnv32String is 32-bit FNV-1a, matching the warm store's hash so config
-// signatures stay byte-identical with snapshots written before the registry.
-func fnv32String(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
 }

@@ -1,17 +1,14 @@
 package driver
 
 import (
-	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
-	"tracer/internal/dataflow"
 	"tracer/internal/escape"
 	"tracer/internal/ir"
 	"tracer/internal/lang"
-	"tracer/internal/nullness"
 	"tracer/internal/obs"
 	"tracer/internal/pointsto"
 	"tracer/internal/rhs"
@@ -21,19 +18,14 @@ import (
 
 // RHSProgram is a program prepared with the summary-based tabulation
 // backend instead of the inlining lowering. It supports recursive call
-// graphs; everything else — query generation, the backward meta-analysis,
-// and TRACER — is shared with the inlining pipeline, since both produce
-// flat counterexample traces over the same atoms.
+// graphs; everything else — the front end, query generation, the backward
+// meta-analysis, and TRACER — is shared with the inlining pipeline, since
+// both produce flat counterexample traces over the same atoms.
 type RHSProgram struct {
-	IR *ir.Program
-	PT *pointsto.Result
+	*front
 	SP *rhs.Program
 
-	Vars                  []string
-	Locals, Fields, Sites []string
-
-	varPts        map[string]uset.Set
-	stressMethods []string
+	occs []occurrence[rhs.Point]
 }
 
 // LoadRHS parses src and prepares the tabulation pipeline.
@@ -50,415 +42,107 @@ func LoadRHS(src string) (*RHSProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &RHSProgram{IR: prog, PT: pt, SP: sp, varPts: map[string]uset.Set{}}
-	flat := sp.G.AtomsCFG()
-	p.Vars = typestate.CollectVars(flat)
-	p.Locals, p.Fields, p.Sites = escape.Universe(flat)
-	for _, m := range pt.ReachableMethods() {
-		if m.Native {
-			continue
-		}
-		vars := append([]string{"this"}, m.Params...)
-		vars = append(vars, m.Locals...)
-		for _, v := range vars {
-			p.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
-		}
-	}
-	methodSet := map[string]bool{}
+	p := &RHSProgram{SP: sp}
 	for _, cs := range sp.Calls {
-		if !isLib(cs.Method) {
-			methodSet[cs.Stmt.Method] = true
+		if IsApp(cs.Method) {
+			p.occs = append(p.occs, occurrence[rhs.Point]{cs.Method, cs.Stmt, client.Occurrence{Call: true, Var: cs.Recv}, cs.At})
 		}
 	}
-	for name := range methodSet {
-		p.stressMethods = append(p.stressMethods, name)
+	for _, fa := range sp.Accesses {
+		if IsApp(fa.Method) {
+			p.occs = append(p.occs, occurrence[rhs.Point]{fa.Method, fa.Stmt, client.Occurrence{Var: fa.Base}, fa.At})
+		}
 	}
-	sort.Strings(p.stressMethods)
+	p.front = newFront(prog, pt, sp.G.AtomsCFG(), p.occs)
 	return p, nil
 }
 
-func isLib(m *ir.Method) bool {
-	return len(m.Class.Name) >= len(LibPrefix) && m.Class.Name[:len(LibPrefix)] == LibPrefix
+// RHSProblem is a tabulation job of any client.
+type RHSProblem interface {
+	core.Problem
+	// ParamName names parameter i.
+	ParamName(i int) string
+	// Observe routes the tabulation solver's per-run counters and timings
+	// (see rhs.SolveObs) to rec.
+	Observe(rec obs.Recorder)
 }
 
-// mayPoint builds the per-site oracle.
-func (p *RHSProgram) mayPoint(h string) func(qv string) bool {
-	id, ok := p.PT.Sites.Lookup(h)
-	if !ok {
-		return func(string) bool { return false }
-	}
-	return func(qv string) bool { return p.varPts[qv].Has(id) }
+// rhsJob poses one goal against the tabulation backend. The backward
+// meta-analysis, outcome accounting, and telemetry are the inline job's
+// (client.Query): both backends produce flat traces over the same atoms.
+type rhsJob[D comparable] struct {
+	client.Query[D]
+	g      *rhs.Graph
+	points []rhs.Point
+	rec    obs.Recorder
+
+	chain atomic.Pointer[rhs.Chain[D]]
 }
 
-// rhsForward is the shared forward runner: solve the supergraph and scan
-// the query points for a violating fact, picking the first one in
-// tabulation (discovery) order — a pure function of the supergraph and the
-// abstraction, independent of the analysis instance's intern history, so
-// the choice is stable between cold and delta-incremental solves. A budget
-// trip mid-tabulation yields an unproved partial outcome (a partial
-// tabulation's "no failure found" is not a proof).
-func rhsForward[D comparable](
-	g *rhs.Graph, dI D, tr dataflow.Transfer[D],
-	points []rhs.Point,
-	holds func(d D) bool,
-	rec obs.Recorder,
-	bud *budget.Budget,
-) core.Outcome {
-	return rhsScan(rhs.SolveBudget(g, dI, tr, rec, bud), points, holds, bud)
+var _ core.ObsFlusher = (*rhsJob[int])(nil)
+
+func newRHSJob[D comparable](a client.Analysis[D], goal client.Goal, g *rhs.Graph, points []rhs.Point, k int) *rhsJob[D] {
+	return &rhsJob[D]{Query: client.Query[D]{A: a, Goal: goal, K: k}, g: g, points: points}
 }
 
-// rhsScan is the query-point scan shared by the cold and delta forward
-// paths: first violating fact in tabulation order, as for rhsForward.
-func rhsScan[D comparable](res *rhs.Result[D], points []rhs.Point, holds func(d D) bool, bud *budget.Budget) core.Outcome {
-	if bud.Tripped() {
-		return core.Outcome{Steps: res.Steps}
-	}
-	for _, pt := range points {
-		for _, d := range res.States(pt.Method, pt.Node) {
-			if !holds(d) {
-				return core.Outcome{Trace: res.Witness(pt.Method, pt.Node, d), Steps: res.Steps}
-			}
-		}
-	}
-	return core.Outcome{Proved: true, Steps: 0}
-}
-
-// RHSEscapeJob poses one thread-escape query against the tabulation
-// backend. The backward meta-analysis is delegated to the standard job:
-// both backends produce flat traces of the same atoms.
-type RHSEscapeJob struct {
-	P      *RHSProgram
-	Points []rhs.Point
-	V      string
-	K      int
-	// Rec, when set, receives the tabulation solver's per-run counters and
-	// timings (see rhs.SolveObs).
-	Rec obs.Recorder
-	// NoDelta disables the delta-incremental tabulation chain; every forward
-	// solve then runs cold.
-	NoDelta bool
-
-	chain atomic.Pointer[rhs.Chain[escape.State]]
-	inner *escape.Job
-}
-
-var _ core.Problem = (*RHSEscapeJob)(nil)
-
-// NewRHSEscapeJob builds a query job for variable v at the given points.
-func (p *RHSProgram) NewRHSEscapeJob(v string, points []rhs.Point, k int) *RHSEscapeJob {
-	a := escape.New(p.Locals, p.Fields, p.Sites)
-	return &RHSEscapeJob{
-		P: p, Points: points, V: v, K: k,
-		inner: &escape.Job{A: a, Q: escape.Query{V: v}, K: k},
-	}
-}
-
-func (j *RHSEscapeJob) NumParams() int         { return j.inner.A.Sites.Len() }
-func (j *RHSEscapeJob) ParamName(i int) string { return j.inner.A.Sites.Value(i) }
+func (j *rhsJob[D]) Observe(rec obs.Recorder) { j.rec = rec }
 
 // Forward solves the supergraph under abstraction p, resuming the job's
 // retained tabulation across CEGAR iterations unless NoDelta is set. The
 // chain is checked out for the duration of the solve (a panic abandons it;
 // the next iteration starts a fresh one).
-func (j *RHSEscapeJob) Forward(b *budget.Budget, p uset.Set) core.Outcome {
-	a := j.inner.A
-	holds := func(d escape.State) bool { return a.Holds(j.inner.Q, d) }
+func (j *rhsJob[D]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 	if j.NoDelta {
-		return rhsForward(j.P.SP.G, a.Initial(), a.Transfer(p), j.Points, holds, j.Rec, b)
+		return j.outcome(b, rhs.SolveBudget(j.g, j.A.Initial(), j.A.Transfer(p), j.rec, b))
 	}
 	ch := j.chain.Swap(nil)
 	if ch == nil {
-		ch = rhs.NewChain[escape.State](j.P.SP.G)
+		ch = rhs.NewChain[D](j.g)
 	}
-	res := ch.Solve(p, a.Initial(), a.TransferDep(p), j.Rec, b)
-	out := rhsScan(res, j.Points, holds, b)
+	res := ch.Solve(p, j.A.Initial(), j.A.TransferDep(p), j.rec, b)
+	out := j.outcome(b, res)
+	// The chain records its own rhs.* delta counters to rec.
+	if resumed, reused, _ := ch.Stats(); resumed {
+		out.Reused = reused
+	}
 	j.chain.Store(ch)
 	return out
 }
 
-// Backward delegates to the standard escape job.
-func (j *RHSEscapeJob) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
-	return j.inner.Backward(b, p, t)
-}
-
-// RHSNullnessJob poses one null-dereference query against the tabulation
-// backend. As for escape, the backward meta-analysis is delegated to the
-// standard job: both backends produce flat traces of the same atoms.
-type RHSNullnessJob struct {
-	P      *RHSProgram
-	Points []rhs.Point
-	V      string
-	K      int
-	// Rec, when set, receives the tabulation solver's per-run counters and
-	// timings (see rhs.SolveObs).
-	Rec obs.Recorder
-	// NoDelta disables the delta-incremental tabulation chain; every forward
-	// solve then runs cold.
-	NoDelta bool
-
-	chain atomic.Pointer[rhs.Chain[nullness.State]]
-	inner *nullness.Job
-}
-
-var _ core.Problem = (*RHSNullnessJob)(nil)
-
-// NewRHSNullnessJob builds a query job for variable v at the given points.
-func (p *RHSProgram) NewRHSNullnessJob(v string, points []rhs.Point, k int) *RHSNullnessJob {
-	a := nullness.New(p.Locals, p.Fields)
-	return &RHSNullnessJob{
-		P: p, Points: points, V: v, K: k,
-		inner: &nullness.Job{A: a, Q: nullness.Query{V: v}, K: k},
-	}
-}
-
-func (j *RHSNullnessJob) NumParams() int         { return j.inner.A.NumParams() }
-func (j *RHSNullnessJob) ParamName(i int) string { return j.inner.A.CellName(i) }
-
-// Forward solves the supergraph under abstraction p, resuming the job's
-// retained tabulation across CEGAR iterations unless NoDelta is set.
-func (j *RHSNullnessJob) Forward(b *budget.Budget, p uset.Set) core.Outcome {
-	a := j.inner.A
-	holds := func(d nullness.State) bool { return a.Holds(j.inner.Q, d) }
-	if j.NoDelta {
-		return rhsForward(j.P.SP.G, a.Initial(), a.Transfer(p), j.Points, holds, j.Rec, b)
-	}
-	ch := j.chain.Swap(nil)
-	if ch == nil {
-		ch = rhs.NewChain[nullness.State](j.P.SP.G)
-	}
-	res := ch.Solve(p, a.Initial(), a.TransferDep(p), j.Rec, b)
-	out := rhsScan(res, j.Points, holds, b)
-	j.chain.Store(ch)
-	return out
-}
-
-// Backward delegates to the standard nullness job.
-func (j *RHSNullnessJob) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
-	return j.inner.Backward(b, p, t)
-}
-
-// RHSTypestateJob poses one type-state query against the tabulation
-// backend.
-type RHSTypestateJob struct {
-	P      *RHSProgram
-	Points []rhs.Point
-	K      int
-	// Rec, when set, receives the tabulation solver's per-run counters and
-	// timings (see rhs.SolveObs).
-	Rec obs.Recorder
-	// NoDelta disables the delta-incremental tabulation chain; every forward
-	// solve then runs cold.
-	NoDelta bool
-
-	chain atomic.Pointer[rhs.Chain[typestate.State]]
-	inner *typestate.Job
-}
-
-var _ core.Problem = (*RHSTypestateJob)(nil)
-
-// NewRHSTypestateJob builds a job for the given property, tracked site, and
-// wanted automaton states.
-func (p *RHSProgram) NewRHSTypestateJob(prop *typestate.Property, site string, want uset.Bits, points []rhs.Point, k int) *RHSTypestateJob {
-	a := typestate.New(prop, site, p.Vars)
-	a.MayPoint = p.mayPoint(site)
-	return &RHSTypestateJob{
-		P: p, Points: points, K: k,
-		inner: &typestate.Job{A: a, Q: typestate.Query{Want: want}, K: k},
-	}
-}
-
-func (j *RHSTypestateJob) NumParams() int         { return j.inner.A.Vars.Len() }
-func (j *RHSTypestateJob) ParamName(i int) string { return j.inner.A.Vars.Value(i) }
-
-// Forward solves the supergraph under abstraction p, resuming the job's
-// retained tabulation across CEGAR iterations unless NoDelta is set.
-func (j *RHSTypestateJob) Forward(b *budget.Budget, p uset.Set) core.Outcome {
-	a := j.inner.A
-	holds := func(d typestate.State) bool { return j.inner.Q.Holds(d) }
-	if j.NoDelta {
-		return rhsForward(j.P.SP.G, a.Initial(), a.Transfer(p), j.Points, holds, j.Rec, b)
-	}
-	ch := j.chain.Swap(nil)
-	if ch == nil {
-		ch = rhs.NewChain[typestate.State](j.P.SP.G)
-	}
-	res := ch.Solve(p, a.Initial(), a.TransferDep(p), j.Rec, b)
-	out := rhsScan(res, j.Points, holds, b)
-	j.chain.Store(ch)
-	return out
-}
-
-// Backward delegates to the standard type-state job.
-func (j *RHSTypestateJob) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
-	return j.inner.Backward(b, p, t)
-}
-
-// RHSTSQuery is a generated type-state query for the tabulation backend.
-type RHSTSQuery struct {
-	ID     string
-	Site   string
-	Stmt   *ir.CallStmt
-	Points []rhs.Point
-}
-
-// TypestateQueries generates the §6 stress queries: one per (application
-// call site, application site the receiver may reach). With the
-// supergraph, each source call statement has exactly one point.
-func (p *RHSProgram) TypestateQueries() []RHSTSQuery {
-	appSite := map[string]bool{}
-	for _, m := range p.IR.Methods() {
-		if isLib(m) {
-			continue
-		}
-		collectSites(m.Body, appSite)
-	}
-	var out []RHSTSQuery
-	for _, cs := range p.SP.Calls {
-		if isLib(cs.Method) {
-			continue
-		}
-		for _, hid := range p.varPts[cs.Recv].Elems() {
-			h := p.PT.Sites.Value(hid)
-			if !appSite[h] {
-				continue
+// outcome scans the query points for a violating fact, picking the first
+// one in tabulation (discovery) order — a pure function of the supergraph
+// and the abstraction, so the choice is stable between cold and
+// delta-incremental solves.
+func (j *rhsJob[D]) outcome(b *budget.Budget, res *rhs.Result[D]) core.Outcome {
+	return j.Outcome(b, res.Steps, func() (lang.Trace, bool) {
+		for _, pt := range j.points {
+			for _, d := range res.States(pt.Method, pt.Node) {
+				if !j.A.Holds(j.Goal, d) {
+					return res.Witness(pt.Method, pt.Node, d), true
+				}
 			}
-			out = append(out, RHSTSQuery{
-				ID:     fmt.Sprintf("ts:%s:%s:%s", cs.Method.QualName(), cs.Stmt.Position(), h),
-				Site:   h,
-				Stmt:   cs.Stmt,
-				Points: []rhs.Point{cs.At},
-			})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func collectSites(body []ir.Stmt, out map[string]bool) {
-	for _, s := range body {
-		switch s := s.(type) {
-		case *ir.NewStmt:
-			out[s.Site] = true
-		case *ir.IfStmt:
-			collectSites(s.Then, out)
-			collectSites(s.Else, out)
-		case *ir.LoopStmt:
-			collectSites(s.Body, out)
-		}
-	}
-}
-
-// TypestateJob builds the tabulation job for a generated stress query.
-func (p *RHSProgram) TypestateJob(q RHSTSQuery, k int) *RHSTypestateJob {
-	prop := typestate.StressProperty(p.stressMethods)
-	return p.NewRHSTypestateJob(prop, q.Site, uset.Bits(0).Add(prop.Init), q.Points, k)
-}
-
-// RHSEscQuery is a generated thread-escape query for the tabulation
-// backend.
-type RHSEscQuery struct {
-	ID     string
-	Var    string
-	Stmt   ir.Stmt
-	Points []rhs.Point
-}
-
-// EscapeQueries generates one query per application field access.
-func (p *RHSProgram) EscapeQueries() []RHSEscQuery {
-	var out []RHSEscQuery
-	for _, fa := range p.SP.Accesses {
-		if isLib(fa.Method) {
-			continue
-		}
-		out = append(out, RHSEscQuery{
-			ID:     fmt.Sprintf("esc:%s:%s:%s", fa.Method.QualName(), fa.Stmt.Position(), fa.Base),
-			Var:    fa.Base,
-			Stmt:   fa.Stmt,
-			Points: []rhs.Point{fa.At},
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// EscapeJob builds the tabulation job for a generated escape query.
-func (p *RHSProgram) EscapeJob(q RHSEscQuery, k int) *RHSEscapeJob {
-	return p.NewRHSEscapeJob(q.Var, q.Points, k)
-}
-
-// RHSNullQuery is a generated null-dereference query for the tabulation
-// backend.
-type RHSNullQuery struct {
-	ID     string
-	Var    string
-	Stmt   ir.Stmt
-	Points []rhs.Point
-}
-
-// NullnessQueries generates one query per application field access: the
-// dereferenced base must be non-nil at the access point.
-func (p *RHSProgram) NullnessQueries() []RHSNullQuery {
-	var out []RHSNullQuery
-	for _, fa := range p.SP.Accesses {
-		if isLib(fa.Method) {
-			continue
-		}
-		out = append(out, RHSNullQuery{
-			ID:     fmt.Sprintf("null:%s:%s:%s", fa.Method.QualName(), fa.Stmt.Position(), fa.Base),
-			Var:    fa.Base,
-			Stmt:   fa.Stmt,
-			Points: []rhs.Point{fa.At},
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// NullnessJob builds the tabulation job for a generated nullness query.
-func (p *RHSProgram) NullnessJob(q RHSNullQuery, k int) *RHSNullnessJob {
-	return p.NewRHSNullnessJob(q.Var, q.Points, k)
+		return nil, false
+	})
 }
 
 // ExplicitJobs builds jobs for the program's explicit query statements:
 // "query name local(v)" and, against prop, "query name state(v: ...)"
 // (keyed "name@site" per may-site like the inlining driver).
-func (p *RHSProgram) ExplicitJobs(prop *typestate.Property, k int) (map[string]core.Problem, error) {
-	out := map[string]core.Problem{}
-	escPoints := map[string][]rhs.Point{}
-	escVar := map[string]string{}
-	for _, q := range p.SP.Queries {
-		switch q.Kind {
-		case ir.QueryLocal:
-			escPoints[q.Name] = append(escPoints[q.Name], q.At)
-			escVar[q.Name] = q.Var
-		case ir.QueryTypestate:
-			var want uset.Bits
-			for _, s := range q.States {
-				found := false
-				for i, name := range prop.States {
-					if name == s {
-						want = want.Add(i)
-						found = true
-					}
-				}
-				if !found {
-					return nil, fmt.Errorf("driver: query %s: unknown automaton state %q", q.Name, s)
-				}
-			}
-			for _, hid := range p.varPts[q.Var].Elems() {
-				h := p.PT.Sites.Value(hid)
-				key := q.Name + "@" + h
-				job, ok := out[key].(*RHSTypestateJob)
-				if !ok {
-					job = p.NewRHSTypestateJob(prop, h, want, nil, k)
-					out[key] = job
-				}
-				job.Points = append(job.Points, q.At)
-			}
-		}
+func (p *RHSProgram) ExplicitJobs(prop *typestate.Property, k int) (map[string]RHSProblem, error) {
+	ts, esc, err := explicitGoals(p.front, p.SP.Queries, prop, func(q rhs.ExplicitQuery) (ir.ExplicitQuery, rhs.Point) {
+		return ir.ExplicitQuery{Name: q.Name, Kind: q.Kind, Var: q.Var, States: q.States}, q.At
+	})
+	if err != nil {
+		return nil, err
 	}
-	for name, points := range escPoints {
-		out[name] = p.NewRHSEscapeJob(escVar[name], points, k)
+	out := map[string]RHSProblem{}
+	tsSpec := typestate.NewSpec(prop)
+	for name, q := range ts {
+		out[name] = newRHSJob(tsSpec.New(&p.Universe, q.Goal), q.Goal, p.SP.G, q.At, k)
+	}
+	for name, q := range esc {
+		out[name] = newRHSJob(escape.Spec.New(&p.Universe, q.Goal), q.Goal, p.SP.G, q.At, k)
 	}
 	return out, nil
 }

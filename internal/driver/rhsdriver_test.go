@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tracer/internal/core"
+	"tracer/internal/obs"
 	"tracer/internal/typestate"
 )
 
@@ -86,7 +87,7 @@ func TestRHSPipelineRecursive(t *testing.T) {
 	}
 }
 
-func jobNames(m map[string]core.Problem) []string {
+func jobNames(m map[string]RHSProblem) []string {
 	var out []string
 	for k := range m {
 		out = append(out, k)
@@ -108,8 +109,12 @@ func TestRHSMatchesInlinerOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	inlTS, inlEsc, err := inl.ExplicitJobs(typestate.FileProperty(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Escape queries.
-	for name, inlJob := range inl.ExplicitEscapeJobs(5) {
+	for name, inlJob := range inlEsc {
 		want, err := core.Solve(inlJob, core.Options{MaxIters: 300})
 		if err != nil {
 			t.Fatal(err)
@@ -126,10 +131,6 @@ func TestRHSMatchesInlinerOutcomes(t *testing.T) {
 		}
 	}
 	// Type-state queries.
-	inlTS, err := inl.ExplicitTypestateJobs(typestate.FileProperty(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, inlJob := range inlTS {
 		want, err := core.Solve(inlJob, core.Options{MaxIters: 300})
 		if err != nil {
@@ -145,5 +146,48 @@ func TestRHSMatchesInlinerOutcomes(t *testing.T) {
 		if want.Status == core.Proved && got.Abstraction.Len() != want.Abstraction.Len() {
 			t.Errorf("%s: rhs |p|=%d vs inliner %d", name, got.Abstraction.Len(), want.Abstraction.Len())
 		}
+	}
+}
+
+// TestRHSOutcomeAccounting: a tabulation job accounts its forward work like
+// the inline job. A proved query's ForwardSteps includes the proving run's
+// path edges, so under NoDelta it equals the sum of the rhs.path_edges
+// counters over its iterations; and the job flushes the formula.* and
+// meta.* counters of its backward passes.
+func TestRHSOutcomeAccounting(t *testing.T) {
+	p, err := LoadRHS(recursiveSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := p.ExplicitJobs(typestate.FileProperty(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := jobs["qFile@hFile"]
+	cap := obs.NewCapture()
+	job.Observe(cap)
+	job.(*rhsJob[typestate.State]).NoDelta = true
+	res, err := core.Solve(job, core.Options{Recorder: cap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != core.Proved {
+		t.Fatalf("status %v, want proved", res.Status)
+	}
+	var pathEdges int64
+	counters := map[string]bool{}
+	for _, e := range cap.Events() {
+		if e.Kind == obs.CounterKind {
+			counters[e.Name] = true
+			if e.Name == "rhs.path_edges" {
+				pathEdges += e.Value
+			}
+		}
+	}
+	if int64(res.ForwardSteps) != pathEdges || pathEdges == 0 {
+		t.Errorf("ForwardSteps = %d, sum of rhs.path_edges = %d", res.ForwardSteps, pathEdges)
+	}
+	if res.Iterations > 1 && !counters["formula.cube_products"] {
+		t.Errorf("no formula.* counters flushed; have %v", counters)
 	}
 }

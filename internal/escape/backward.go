@@ -294,6 +294,3 @@ func (a *Analysis) wpStore(at lang.Store, prim formula.Prim) formula.Formula {
 	}
 	panic(fmt.Sprintf("escape: unknown primitive %T", prim))
 }
-
-// NotQ returns the failure condition not(local(v)) = v.E.
-func (a *Analysis) NotQ(q Query) formula.Formula { return lv(q.V, E) }

@@ -12,7 +12,6 @@ package escape
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tracer/internal/dataflow"
@@ -78,48 +77,6 @@ func New(locals, fields, sites []string) *Analysis {
 		a.Sites.ID(h)
 	}
 	return a
-}
-
-// Universe collects the locals, fields, and sites mentioned by a CFG's
-// atoms, each sorted, for building the analysis universe.
-func Universe(g *lang.CFG) (locals, fields, sites []string) {
-	lm, fm, hm := map[string]bool{}, map[string]bool{}, map[string]bool{}
-	for _, e := range g.Edges {
-		switch a := e.A.(type) {
-		case lang.Alloc:
-			lm[a.V] = true
-			hm[a.H] = true
-		case lang.Move:
-			lm[a.Dst] = true
-			lm[a.Src] = true
-		case lang.MoveNull:
-			lm[a.V] = true
-		case lang.GlobalWrite:
-			lm[a.V] = true
-		case lang.GlobalRead:
-			lm[a.V] = true
-		case lang.Load:
-			lm[a.Dst] = true
-			lm[a.Src] = true
-			fm[a.F] = true
-		case lang.Store:
-			lm[a.Dst] = true
-			lm[a.Src] = true
-			fm[a.F] = true
-		case lang.Invoke:
-			lm[a.V] = true
-		}
-	}
-	return sortedKeys(lm), sortedKeys(fm), sortedKeys(hm)
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // slots is the environment width.
@@ -336,14 +293,3 @@ func (a *Analysis) step(p uset.Set, at lang.Atom, d State) State {
 	}
 	return d
 }
-
-// Query asks whether local V is thread-local (never E) at a program point —
-// the local(v) query of Fig 6 and of the datarace client in §6. A source
-// point may correspond to several CFG nodes after inlining.
-type Query struct {
-	Nodes []int
-	V     string
-}
-
-// Holds reports whether a single abstract state satisfies the query.
-func (a *Analysis) Holds(q Query, d State) bool { return a.Local(d, q.V) != E }

@@ -3,6 +3,7 @@ package escape
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/dataflow"
 	"tracer/internal/lang"
@@ -21,7 +22,7 @@ func figure6(t *testing.T) (*Analysis, *lang.CFG) {
 		lang.Store{Dst: "v", F: "f", Src: "u"},
 	)
 	g := lang.BuildCFG(prog)
-	locals, fields, sites := Universe(g)
+	locals, fields, sites := lang.Names(g)
 	return New(locals, fields, sites), g
 }
 
@@ -38,8 +39,8 @@ func (a *Analysis) abstraction(sites ...string) uset.Set {
 // abstractions shown.
 func TestFigure6Forward(t *testing.T) {
 	a, g := figure6(t)
-	q := Query{Nodes: []int{g.Exit}, V: "u"}
-	job := &Job{A: a, G: g, Q: q, K: 1}
+	q := client.Goal{Subject: "u"}
+	job := client.NewJob[State](a, q, g, []int{g.Exit}, 1)
 
 	// (a)/(b1): p = [h1↦E, h2↦E], i.e. no L-mapped sites.
 	out := job.Forward(nil, nil)
@@ -84,8 +85,8 @@ func TestFigure6Forward(t *testing.T) {
 // proves the query with the cheapest abstraction [h1↦L, h2↦L].
 func TestFigure6WithUnderApprox(t *testing.T) {
 	a, g := figure6(t)
-	q := Query{Nodes: []int{g.Exit}, V: "u"}
-	job := &Job{A: a, G: g, Q: q, K: 1}
+	q := client.Goal{Subject: "u"}
+	job := client.NewJob[State](a, q, g, []int{g.Exit}, 1)
 
 	// Iteration 1 cube: h1 must not be E, i.e. Neg = {h1}.
 	out := job.Forward(nil, nil)
@@ -132,8 +133,8 @@ func TestFigure6WithUnderApprox(t *testing.T) {
 // single counterexample (two forward runs).
 func TestFigure6WithoutUnderApprox(t *testing.T) {
 	a, g := figure6(t)
-	q := Query{Nodes: []int{g.Exit}, V: "u"}
-	job := &Job{A: a, G: g, Q: q, K: 0}
+	q := client.Goal{Subject: "u"}
+	job := client.NewJob[State](a, q, g, []int{g.Exit}, 0)
 
 	out := job.Forward(nil, nil)
 	dI := a.Initial()
@@ -163,8 +164,8 @@ func TestFigure6WithoutUnderApprox(t *testing.T) {
 // u.E at pc, then u.E before the store, h1.E at the start.
 func TestFigure6FormulaAnnotations(t *testing.T) {
 	a, g := figure6(t)
-	q := Query{Nodes: []int{g.Exit}, V: "u"}
-	job := &Job{A: a, G: g, Q: q, K: 1}
+	q := client.Goal{Subject: "u"}
+	job := client.NewJob[State](a, q, g, []int{g.Exit}, 1)
 	out := job.Forward(nil, nil)
 	dI := a.Initial()
 	states := dataflow.StatesAlong(out.Trace, dI, a.Transfer(nil))

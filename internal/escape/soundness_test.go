@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
@@ -137,7 +138,7 @@ func TestTheorem3RandomTraces(t *testing.T) {
 	atoms := testAtoms()
 	abstractions := a.AllAbstractions()
 	states := a.AllStates()
-	post := a.NotQ(Query{V: "u"})
+	post := a.NotQ(client.Goal{Subject: "u"})
 	for trial := 0; trial < 80; trial++ {
 		n := 1 + rng.Intn(6)
 		tr := make(lang.Trace, n)

@@ -3,6 +3,7 @@ package escape
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/lang"
 	"tracer/internal/uset"
 )
@@ -65,7 +66,7 @@ func TestTransferRulesFig5(t *testing.T) {
 // TestQueryHolds: local(v) accepts L and N, rejects E.
 func TestQueryHolds(t *testing.T) {
 	a := newTestAnalysis()
-	q := Query{V: "u"}
+	q := client.Goal{Subject: "u"}
 	for val, want := range map[Value]bool{L: true, N: true, E: false} {
 		d := a.StateOf(map[string]Value{"u": val}, nil)
 		if got := a.Holds(q, d); got != want {

@@ -5,19 +5,20 @@ import (
 	"io"
 	"strings"
 
+	"tracer/internal/client"
 	"tracer/internal/escape"
 	"tracer/internal/typestate"
 	"tracer/internal/uset"
 )
 
 // ForTypestate narrates a type-state job.
-func ForTypestate(job *typestate.Job, w io.Writer) *Problem[typestate.State] {
-	a := job.A
+func ForTypestate(job *client.Job[typestate.State], w io.Writer) *Problem[typestate.State] {
+	a := job.A.(*typestate.Analysis)
 	return New[typestate.State](job, w, Hooks[typestate.State]{
 		Initial:     a.Initial(),
 		Transfer:    a.Transfer,
 		Client:      job.Client,
-		Post:        a.NotQ(job.Q),
+		Post:        a.NotQ(job.Goal),
 		FormatState: a.Format,
 		FormatAbstraction: func(p uset.Set) string {
 			names := make([]string, 0, p.Len())
@@ -41,13 +42,13 @@ func ForTypestate(job *typestate.Job, w io.Writer) *Problem[typestate.State] {
 }
 
 // ForEscape narrates a thread-escape job.
-func ForEscape(job *escape.Job, w io.Writer) *Problem[escape.State] {
-	a := job.A
+func ForEscape(job *client.Job[escape.State], w io.Writer) *Problem[escape.State] {
+	a := job.A.(*escape.Analysis)
 	return New[escape.State](job, w, Hooks[escape.State]{
 		Initial:     a.Initial(),
 		Transfer:    a.Transfer,
 		Client:      job.Client,
-		Post:        a.NotQ(job.Q),
+		Post:        a.NotQ(job.Goal),
 		FormatState: a.Format,
 		FormatAbstraction: func(p uset.Set) string {
 			parts := make([]string, 0, a.Sites.Len())

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/lang"
 	"tracer/internal/typestate"
@@ -28,7 +29,7 @@ func (d duplicatingInner) Backward(b *budget.Budget, p uset.Set, t lang.Trace) [
 	return cubes
 }
 
-func divergenceJob(t *testing.T) *typestate.Job {
+func divergenceJob(t *testing.T) *client.Job[typestate.State] {
 	t.Helper()
 	prog := lang.SeqN(
 		lang.Atoms(lang.Alloc{V: "x", H: "h"}),
@@ -37,9 +38,10 @@ func divergenceJob(t *testing.T) *typestate.Job {
 		lang.Atoms(lang.Invoke{V: "y", M: "close"}),
 	)
 	g := lang.BuildCFG(prog)
-	a := typestate.New(typestate.FileProperty(), "h", typestate.CollectVars(g))
+	vars, _, _ := lang.Names(g)
+	a := typestate.New(typestate.FileProperty(), "h", vars)
 	closed := uset.Bits(0).Add(a.Prop.MustState("closed"))
-	return &typestate.Job{A: a, G: g, Q: typestate.Query{Nodes: []int{g.Exit}, Want: closed}, K: 1}
+	return client.NewJob[typestate.State](a, client.Goal{Want: closed}, g, []int{g.Exit}, 1)
 }
 
 // TestBackwardDivergenceWarning: when the inner problem's cubes differ from

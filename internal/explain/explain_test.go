@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/escape"
 	"tracer/internal/lang"
@@ -21,9 +22,10 @@ func TestNarratedFigure1(t *testing.T) {
 		lang.Atoms(lang.Invoke{V: "y", M: "close"}),
 	)
 	g := lang.BuildCFG(prog)
-	a := typestate.New(typestate.FileProperty(), "h", typestate.CollectVars(g))
+	vars, _, _ := lang.Names(g)
+	a := typestate.New(typestate.FileProperty(), "h", vars)
 	closed := uset.Bits(0).Add(a.Prop.MustState("closed"))
-	job := &typestate.Job{A: a, G: g, Q: typestate.Query{Nodes: []int{g.Exit}, Want: closed}, K: 1}
+	job := client.NewJob[typestate.State](a, client.Goal{Want: closed}, g, []int{g.Exit}, 1)
 
 	plain, err := core.Solve(job, core.Options{})
 	if err != nil {
@@ -61,9 +63,9 @@ func TestNarratedFigure6(t *testing.T) {
 		lang.Store{Dst: "v", F: "f", Src: "u"},
 	)
 	g := lang.BuildCFG(prog)
-	locals, fields, sites := escape.Universe(g)
+	locals, fields, sites := lang.Names(g)
 	a := escape.New(locals, fields, sites)
-	job := &escape.Job{A: a, G: g, Q: escape.Query{Nodes: []int{g.Exit}, V: "u"}, K: 1}
+	job := client.NewJob[escape.State](a, client.Goal{Subject: "u"}, g, []int{g.Exit}, 1)
 
 	var sb strings.Builder
 	res, err := ForEscape(job, &sb).Solve(core.Options{})

@@ -10,6 +10,7 @@ package formula_test
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/escape"
 	"tracer/internal/formula"
@@ -84,7 +85,7 @@ func BenchmarkWpDNF(b *testing.B) {
 	tr := benchTrace()
 	dI := a.Initial()
 	states := dataflow.StatesAlong(tr, dI, a.Transfer(nil))
-	post := a.NotQ(escape.Query{V: "u"})
+	post := a.NotQ(client.Goal{Subject: "u"})
 	client := func() *meta.Client[escape.State] {
 		return &meta.Client[escape.State]{
 			WP:    a.WP,

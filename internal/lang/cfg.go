@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // CFG is a control-flow graph over atomic commands. Edges carry either an
 // atomic command or nil (an ε edge introduced by choice and iteration).
@@ -105,4 +108,47 @@ func (g *CFG) ReversePostorder() []int {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
+}
+
+// Names collects the local variables, fields, and allocation sites the
+// atoms of g mention, each sorted: the parameter universes the clients'
+// analyses are built over.
+func Names(g *CFG) (locals, fields, sites []string) {
+	lm, fm, hm := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	for _, e := range g.Edges {
+		switch a := e.A.(type) {
+		case Alloc:
+			lm[a.V] = true
+			hm[a.H] = true
+		case Move:
+			lm[a.Dst] = true
+			lm[a.Src] = true
+		case MoveNull:
+			lm[a.V] = true
+		case GlobalWrite:
+			lm[a.V] = true
+		case GlobalRead:
+			lm[a.V] = true
+		case Load:
+			lm[a.Dst] = true
+			lm[a.Src] = true
+			fm[a.F] = true
+		case Store:
+			lm[a.Dst] = true
+			lm[a.Src] = true
+			fm[a.F] = true
+		case Invoke:
+			lm[a.V] = true
+		}
+	}
+	return sortedKeys(lm), sortedKeys(fm), sortedKeys(hm)
+}
+
+func sortedKeys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

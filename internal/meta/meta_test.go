@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
@@ -18,6 +19,9 @@ import (
 // naiveBackward is a direct transcription of Fig 7 without the identity
 // fast path, the WP cache, or DNF-level accumulation: the reference the
 // optimized driver is checked against.
+// initGoal asks for the automaton's initial state (index 0).
+var initGoal = client.Goal{Want: uset.Bits(0).Add(0)}
+
 func naiveBackward(c *meta.Client[typestate.State], t lang.Trace, states []typestate.State, post formula.Formula) []formula.DNF {
 	out := make([]formula.DNF, len(t)+1)
 	approx := func(f formula.Formula, d typestate.State) formula.DNF {
@@ -70,7 +74,7 @@ func TestOptimizedDriverMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	abstractions := a.AllAbstractions()
 	states := a.AllStates()
-	post := a.NotQ(typestate.Query{Want: uset.Bits(0).Add(0)})
+	post := a.NotQ(initGoal)
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(8)
 		tr := make(lang.Trace, n)
@@ -114,7 +118,7 @@ func TestRunAnnotatedLengths(t *testing.T) {
 	}
 	tr := lang.Trace{lang.MoveNull{V: "x"}}
 	states := dataflow.StatesAlong(tr, a.Initial(), a.Transfer(nil))
-	post := a.NotQ(typestate.Query{Want: uset.Bits(0).Add(0)})
+	post := a.NotQ(initGoal)
 	ann := meta.RunAnnotated(client, tr, states, post)
 	if len(ann) != 2 {
 		t.Fatalf("annotations = %d, want 2", len(ann))
@@ -133,7 +137,7 @@ func TestWPCacheShared(t *testing.T) {
 	cache := meta.NewWPCache()
 	u := formula.NewUniverse(typestate.Theory{})
 	tr := lang.Trace{atoms[0], atoms[2], atoms[5], atoms[6]}
-	post := a.NotQ(typestate.Query{Want: uset.Bits(0).Add(0)})
+	post := a.NotQ(initGoal)
 	states := dataflow.StatesAlong(tr, a.Initial(), a.Transfer(nil))
 	mk := func(c *meta.WPCache) formula.DNF {
 		client := &meta.Client[typestate.State]{
@@ -161,7 +165,7 @@ func TestWPCacheConcurrent(t *testing.T) {
 	a, atoms := testSetup()
 	u := formula.NewUniverse(typestate.Theory{})
 	cache := meta.NewWPCache()
-	post := a.NotQ(typestate.Query{Want: uset.Bits(0).Add(0)})
+	post := a.NotQ(initGoal)
 	traces := make([]lang.Trace, 8)
 	rng := rand.New(rand.NewSource(17))
 	for i := range traces {

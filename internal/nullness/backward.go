@@ -266,8 +266,3 @@ func (a *Analysis) WP(at lang.Atom, prim formula.Prim) formula.Formula {
 	}
 	return formula.L(prim)
 }
-
-// NotQ returns the failure condition not(nonnil(v)) = v.NIL ∨ v.U.
-func (a *Analysis) NotQ(q Query) formula.Formula {
-	return formula.Or(lv(q.V, Nil), lv(q.V, U))
-}

@@ -15,7 +15,6 @@ package nullness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tracer/internal/dataflow"
@@ -82,47 +81,6 @@ func New(locals, fields []string) *Analysis {
 	return a
 }
 
-// Universe collects the locals and fields mentioned by a CFG's atoms,
-// each sorted, for building the analysis universe.
-func Universe(g *lang.CFG) (locals, fields []string) {
-	lm, fm := map[string]bool{}, map[string]bool{}
-	for _, e := range g.Edges {
-		switch a := e.A.(type) {
-		case lang.Alloc:
-			lm[a.V] = true
-		case lang.Move:
-			lm[a.Dst] = true
-			lm[a.Src] = true
-		case lang.MoveNull:
-			lm[a.V] = true
-		case lang.GlobalWrite:
-			lm[a.V] = true
-		case lang.GlobalRead:
-			lm[a.V] = true
-		case lang.Load:
-			lm[a.Dst] = true
-			lm[a.Src] = true
-			fm[a.F] = true
-		case lang.Store:
-			lm[a.Dst] = true
-			lm[a.Src] = true
-			fm[a.F] = true
-		case lang.Invoke:
-			lm[a.V] = true
-		}
-	}
-	return sortedKeys(lm), sortedKeys(fm)
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // slots is the environment width — also the parameter count.
 func (a *Analysis) slots() int { return a.Locals.Len() + a.Fields.Len() }
 
@@ -134,10 +92,10 @@ func (a *Analysis) NumParams() int { return a.slots() }
 func (a *Analysis) localSlot(v string) int { return a.Locals.ID(v) }
 func (a *Analysis) fieldSlot(f string) int { return a.Locals.Len() + a.Fields.ID(f) }
 
-// CellName names parameter i. Field cells are prefixed with "." so they
+// ParamName names parameter i. Field cells are prefixed with "." so they
 // can never collide with a local of the same name (qualified locals never
 // start with a dot).
-func (a *Analysis) CellName(i int) string {
+func (a *Analysis) ParamName(i int) string {
 	if i < a.Locals.Len() {
 		return a.Locals.Value(i)
 	}
@@ -356,14 +314,3 @@ func (a *Analysis) step(p uset.Set, at lang.Atom, d State) State {
 	}
 	return d
 }
-
-// Query asks whether local V is definitely non-nil (safe to dereference)
-// at a program point. A source point may correspond to several CFG nodes
-// after inlining.
-type Query struct {
-	Nodes []int
-	V     string
-}
-
-// Holds reports whether a single abstract state satisfies the query.
-func (a *Analysis) Holds(q Query, d State) bool { return a.Local(d, q.V) == NN }

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
-	"tracer/internal/dataflow"
 	"tracer/internal/escape"
 	"tracer/internal/lang"
 	"tracer/internal/nullness"
@@ -20,16 +19,15 @@ import (
 // atoms, and query subjects (the tracked site, the queried local) are
 // always interned. Padding variants append fresh never-referenced names.
 var (
-	tsVars      = []string{"w", "x", "y", "z"}
-	tsSites     = []string{"h", "g"} // h is the tracked site
-	tsTracked   = "h"
-	escLocals   = []string{"u", "v", "w"}
-	escFields   = []string{"f", "g"}
-	escSites    = []string{"h1", "h2", "h3"}
-	sharedOther = struct {
-		Fields  []string
-		Globals []string
-	}{Fields: []string{"f"}, Globals: []string{"G"}}
+	tsVars    = []string{"w", "x", "y", "z"}
+	tsSites   = []string{"h", "g"} // h is the tracked site
+	tsTracked = "h"
+	escLocals = []string{"u", "v", "w"}
+	escFields = []string{"f", "g"}
+	escSites  = []string{"h1", "h2", "h3"}
+	// tsMethods is the union of all generated properties' methods, sorted;
+	// a program may invoke methods its property ignores (they are identity).
+	tsMethods = []string{"bind", "close", "connect", "hasNext", "next", "open", "send"}
 )
 
 // tsProps lists the generated type-state properties by name; the name is
@@ -52,320 +50,207 @@ func tsProp(name string) *typestate.Property {
 // under-approximation).
 var kChoices = []int{0, 1, 2, 5}
 
-// TSCase is one generated type-state problem: a program over the fixed
-// vocabulary, the query's wanted state set, and the beam width. Pad appends
-// that many never-referenced variables to the parameter universe (the
-// monotone-padding metamorphic variant).
-type TSCase struct {
-	Prop string
-	Prog lang.Prog
-	Want uset.Bits
-	K    int
-	Pad  int
+// Case is one generated problem of one client: a program over the client's
+// fixed vocabulary, the goal (for type-state, the property named Prop), and
+// the beam width. Pad appends that many never-referenced names to the
+// parameter universe (the monotone-padding metamorphic variant).
+type Case struct {
+	Client string
+	Prop   string
+	Prog   lang.Prog
+	Goal   client.Goal
+	K      int
+	Pad    int
 }
 
-func (c TSCase) String() string {
-	return fmt.Sprintf("typestate prop=%s want=%v k=%d pad=%d prog: %s",
-		c.Prop, c.Want.Elems(), c.K, c.Pad, c.Prog)
-}
-
-// vars returns the case's parameter universe.
-func (c TSCase) vars() []string {
-	vs := tsVars
-	for i := 0; i < c.Pad; i++ {
-		vs = append(vs[:len(vs):len(vs)], fmt.Sprintf("pad%d", i))
+func (c Case) String() string {
+	q := "v=" + c.Goal.Subject
+	if c.Prop != "" {
+		q = fmt.Sprintf("prop=%s want=%v", c.Prop, c.Goal.Want.Elems())
 	}
-	return vs
+	return fmt.Sprintf("%s %s k=%d pad=%d prog: %s", c.Client, q, c.K, c.Pad, c.Prog)
 }
 
-// Job builds a fresh core.Problem for the case. Every call returns an
-// independent instance (interning mutates an Analysis, so instances must
+// padded appends n never-referenced names to names.
+func padded(names []string, prefix string, n int) []string {
+	for i := 0; i < n; i++ {
+		names = append(names[:len(names):len(names)], fmt.Sprintf("%s%d", prefix, i))
+	}
+	return names
+}
+
+// family is one client's oracle vocabulary over the generic client
+// contract: everything else — jobs, batches, and every check — is shared.
+type family[D comparable] struct {
+	spec     func(c Case) *client.Spec[D]
+	universe func(c Case) *client.Universe
+	pool     gen.Universe
+	// draw fills the client-specific fields of a case from rng, drawing the
+	// program from prog at the position the client's sequence expects.
+	draw func(rng *rand.Rand, prog func() lang.Prog) Case
+	// permute renames the case's names consistently, naming the renaming.
+	permute func(c Case) (Case, string)
+	// goals lists the goals a batch check poses on the case's program.
+	goals func(c Case) []client.Goal
+}
+
+// families are the oracle's clients, by registry name.
+var families = map[string]interface {
+	random(rng *rand.Rand) Case
+	check(c Case, meta bool) []string
+}{
+	"typestate": family[typestate.State]{
+		spec: func(c Case) *client.Spec[typestate.State] { return typestate.NewSpec(tsProp(c.Prop)) },
+		universe: func(c Case) *client.Universe {
+			return &client.Universe{Locals: padded(tsVars, "pad", c.Pad)}
+		},
+		pool: gen.Universe{Vars: tsVars, Sites: tsSites, Fields: []string{"f"}, Globals: []string{"G"}, Methods: tsMethods},
+		draw: func(rng *rand.Rand, prog func() lang.Prog) Case {
+			prop := tsProps[rng.Intn(len(tsProps))]
+			ns := len(tsProp(prop).States)
+			want := uset.Bits(1 + rng.Intn(1<<ns-1)) // any nonempty subset
+			return Case{Prop: prop, Prog: prog(), Goal: client.Goal{Subject: tsTracked, Want: want}}
+		},
+		permute: func(c Case) (Case, string) {
+			c.Prog = gen.Rename(c.Prog, rotation(tsVars), nil)
+			return c, "variable permutation"
+		},
+		goals: func(c Case) []client.Goal {
+			prop := tsProp(c.Prop)
+			full := uset.Bits(1<<len(prop.States) - 1)
+			var out []client.Goal
+			for _, w := range []uset.Bits{c.Goal.Want, full, uset.Bits(0).Add(prop.Init)} {
+				out = append(out, client.Goal{Subject: tsTracked, Want: w})
+			}
+			return out
+		},
+	},
+	"escape": family[escape.State]{
+		spec: func(Case) *client.Spec[escape.State] { return escape.Spec },
+		universe: func(c Case) *client.Universe {
+			return &client.Universe{Locals: escLocals, Fields: escFields, Sites: padded(escSites, "hpad", c.Pad)}
+		},
+		pool:    escPool,
+		draw:    drawLocal,
+		permute: permuteLocal,
+		goals:   localGoals,
+	},
+	// The nullness cases share the escape vocabulary: locals and fields are
+	// exactly the nullness cell universe, and both clients read the same
+	// atom structure, so the generator is shared unchanged.
+	"nullness": family[nullness.State]{
+		spec: func(Case) *client.Spec[nullness.State] { return nullness.Spec },
+		universe: func(c Case) *client.Universe {
+			return &client.Universe{Locals: padded(escLocals, "pad", c.Pad), Fields: escFields}
+		},
+		pool:    escPool,
+		draw:    drawLocal,
+		permute: permuteLocal,
+		goals:   localGoals,
+	},
+}
+
+var escPool = gen.Universe{Vars: escLocals, Sites: escSites, Fields: escFields, Globals: []string{"G"}, Methods: []string{"m"}}
+
+func drawLocal(rng *rand.Rand, prog func() lang.Prog) Case {
+	p := prog()
+	return Case{Prog: p, Goal: client.Goal{Subject: escLocals[rng.Intn(len(escLocals))]}}
+}
+
+// permuteLocal renames both name spaces the generator renames: locals (the
+// queried variable) and allocation sites.
+func permuteLocal(c Case) (Case, string) {
+	vperm := rotation(escLocals)
+	c.Prog = gen.Rename(c.Prog, vperm, rotation(escSites))
+	c.Goal.Subject = vperm[c.Goal.Subject]
+	return c, "local/site permutation"
+}
+
+// localGoals poses one query per local.
+func localGoals(Case) []client.Goal {
+	out := make([]client.Goal, len(escLocals))
+	for i, v := range escLocals {
+		out[i] = client.Goal{Subject: v}
+	}
+	return out
+}
+
+// random draws a case from the rng. The same rng sequence always yields the
+// same case.
+func (f family[D]) random(rng *rand.Rand) Case {
+	pool := gen.Pool(f.pool)
+	c := f.draw(rng, func() lang.Prog { return gen.Program(rng, pool, gen.DefaultConfig(3+rng.Intn(8))) })
+	c.K = kChoices[rng.Intn(len(kChoices))]
+	return c
+}
+
+// job builds a fresh core.Problem for the case. Every call returns an
+// independent instance (interning mutates an analysis, so instances must
 // not be shared between a truth enumeration and a solve).
-func (c TSCase) Job() *typestate.Job {
+func (f family[D]) job(c Case) *client.Job[D] {
 	g := lang.BuildCFG(c.Prog)
-	a := typestate.New(tsProp(c.Prop), tsTracked, c.vars())
-	return &typestate.Job{
-		A: a, G: g,
-		Q: typestate.Query{Nodes: []int{g.Exit}, Want: c.Want},
-		K: c.K,
+	return client.NewJob(f.spec(c).New(f.universe(c), c.Goal), c.Goal, g, []int{g.Exit}, c.K)
+}
+
+// check verifies one case: the three oracle properties, and (with meta)
+// permutation invariance, monotone padding, delta-vs-cold trajectory
+// identity, batch worker/cache invariance, and warm-seed replay.
+func (f family[D]) check(c Case, meta bool) []string {
+	v := CheckSolve(func() core.Problem { return f.job(c) }, core.Options{})
+	if !meta {
+		return v
 	}
-}
+	base, _ := core.Solve(f.job(c), core.Options{})
 
-// TSPool returns the atom pool the type-state cases draw from.
-func TSPool() []lang.Atom {
-	return gen.Pool(gen.Universe{
-		Vars:    tsVars,
-		Sites:   tsSites,
-		Fields:  sharedOther.Fields,
-		Globals: sharedOther.Globals,
-		Methods: tsMethods(),
-	})
-}
-
-// tsMethods is the union of all generated properties' methods, sorted; a
-// program may invoke methods its property ignores (they are identity).
-func tsMethods() []string {
-	return []string{"bind", "close", "connect", "hasNext", "next", "open", "send"}
-}
-
-// RandomTSCase draws a case from the rng. The same rng sequence always
-// yields the same case.
-func RandomTSCase(rng *rand.Rand) TSCase {
-	prop := tsProps[rng.Intn(len(tsProps))]
-	ns := len(tsProp(prop).States)
-	want := uset.Bits(1 + rng.Intn(1<<ns-1)) // any nonempty subset
-	return TSCase{
-		Prop: prop,
-		Prog: gen.Program(rng, TSPool(), gen.DefaultConfig(3+rng.Intn(8))),
-		Want: want,
-		K:    kChoices[rng.Intn(len(kChoices))],
+	// Permutation invariance: consistently renaming names must not change
+	// the verdict or the minimum cost (|p| is permutation-invariant).
+	renamed, what := f.permute(c)
+	if d := compareSolve(base, f.job(renamed), what); d != "" {
+		v = append(v, d)
 	}
-}
 
-// EscCase is one generated thread-escape problem: a program over the fixed
-// vocabulary and the queried local. Pad appends never-referenced allocation
-// sites to the parameter universe.
-type EscCase struct {
-	Prog lang.Prog
-	V    string
-	K    int
-	Pad  int
-}
-
-func (c EscCase) String() string {
-	return fmt.Sprintf("escape v=%s k=%d pad=%d prog: %s", c.V, c.K, c.Pad, c.Prog)
-}
-
-func (c EscCase) sites() []string {
-	hs := escSites
-	for i := 0; i < c.Pad; i++ {
-		hs = append(hs[:len(hs):len(hs)], fmt.Sprintf("hpad%d", i))
+	// Monotone padding: never-referenced parameters cannot change what is
+	// provable or how much the cheapest proof costs.
+	pad := c
+	pad.Pad = 2
+	if d := compareSolve(base, f.job(pad), "parameter padding"); d != "" {
+		v = append(v, d)
 	}
-	return hs
-}
 
-// Job builds a fresh core.Problem for the case (see TSCase.Job).
-func (c EscCase) Job() *escape.Job {
-	g := lang.BuildCFG(c.Prog)
-	a := escape.New(escLocals, escFields, c.sites())
-	return &escape.Job{
-		A: a, G: g,
-		Q: escape.Query{Nodes: []int{g.Exit}, V: c.V},
-		K: c.K,
+	cold := f.job(c)
+	cold.NoDelta = true
+	if d := compareDelta(base, cold); d != "" {
+		v = append(v, d)
 	}
+	v = append(v, f.checkBatch(c)...)
+	v = append(v, checkWarmSeed(func() core.Problem { return f.job(c) })...)
+	return v
 }
 
-// EscPool returns the atom pool the thread-escape cases draw from.
-func EscPool() []lang.Atom {
-	return gen.Pool(gen.Universe{
-		Vars:    escLocals,
-		Sites:   escSites,
-		Fields:  escFields,
-		Globals: sharedOther.Globals,
-		Methods: []string{"m"},
-	})
-}
-
-// RandomEscCase draws a case from the rng.
-func RandomEscCase(rng *rand.Rand) EscCase {
-	return EscCase{
-		Prog: gen.Program(rng, EscPool(), gen.DefaultConfig(3+rng.Intn(8))),
-		V:    escLocals[rng.Intn(len(escLocals))],
-		K:    kChoices[rng.Intn(len(kChoices))],
+// checkBatch cross-checks the production batch problem under SolveBatch
+// against per-query Solve on the family's batch goals, across the
+// worker/cache/delta grid.
+func (f family[D]) checkBatch(c Case) []string {
+	goals := f.goals(c)
+	solo := make([]core.Result, len(goals))
+	for i, g := range goals {
+		cc := c
+		cc.Goal = g
+		solo[i], _ = core.Solve(f.job(cc), core.Options{})
 	}
-}
-
-// NullCase is one generated null-dereference problem: a program over the
-// escape client's fixed vocabulary (locals and fields are exactly the
-// nullness cell universe) and the queried local. Pad appends
-// never-referenced locals to the cell universe.
-type NullCase struct {
-	Prog lang.Prog
-	V    string
-	K    int
-	Pad  int
-}
-
-func (c NullCase) String() string {
-	return fmt.Sprintf("nullness v=%s k=%d pad=%d prog: %s", c.V, c.K, c.Pad, c.Prog)
-}
-
-func (c NullCase) locals() []string {
-	vs := escLocals
-	for i := 0; i < c.Pad; i++ {
-		vs = append(vs[:len(vs):len(vs)], fmt.Sprintf("pad%d", i))
+	cfg := lang.BuildCFG(c.Prog)
+	nodes := make([][]int, len(goals))
+	for i := range nodes {
+		nodes[i] = []int{cfg.Exit}
 	}
-	return vs
-}
-
-// Job builds a fresh core.Problem for the case (see TSCase.Job).
-func (c NullCase) Job() *nullness.Job {
-	g := lang.BuildCFG(c.Prog)
-	a := nullness.New(c.locals(), escFields)
-	return &nullness.Job{
-		A: a, G: g,
-		Q: nullness.Query{Nodes: []int{g.Exit}, V: c.V},
-		K: c.K,
+	var v []string
+	for _, opts := range batchVariants {
+		res, err := core.SolveBatch(client.NewBatch(f.spec(c), f.universe(c), cfg, goals, nodes, c.K), opts)
+		if err != nil {
+			v = append(v, fmt.Sprintf("batch (workers=%d cache=%d) failed: %v", opts.Workers, opts.FwdCacheSize, err))
+			continue
+		}
+		v = append(v, compareBatch(solo, res, opts)...)
 	}
-}
-
-// NullPool returns the atom pool the nullness cases draw from — the escape
-// pool: both clients read the same atom structure, so the generator is
-// shared unchanged.
-func NullPool() []lang.Atom { return EscPool() }
-
-// RandomNullCase draws a case from the rng.
-func RandomNullCase(rng *rand.Rand) NullCase {
-	return NullCase{
-		Prog: gen.Program(rng, NullPool(), gen.DefaultConfig(3+rng.Intn(8))),
-		V:    escLocals[rng.Intn(len(escLocals))],
-		K:    kChoices[rng.Intn(len(kChoices))],
-	}
-}
-
-// tsBatch poses several Want variants of one type-state case as a
-// core.BatchProblem: all queries track the same site, so one forward solve
-// per run genuinely serves every query — the same sharing shape as the
-// driver's TypestateBatch, without the IR plumbing.
-type tsBatch struct {
-	c     TSCase
-	g     *lang.CFG
-	wants []uset.Bits
-}
-
-var _ core.BatchProblem = (*tsBatch)(nil)
-
-// NewTSBatch builds the batch problem; query i asks for wants[i].
-func NewTSBatch(c TSCase, wants []uset.Bits) core.BatchProblem {
-	return &tsBatch{c: c, g: lang.BuildCFG(c.Prog), wants: wants}
-}
-
-func (b *tsBatch) NumParams() int  { return len(b.c.vars()) }
-func (b *tsBatch) NumQueries() int { return len(b.wants) }
-
-func (b *tsBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
-	a := typestate.New(tsProp(b.c.Prop), tsTracked, b.c.vars())
-	res := dataflow.SolveBudget(b.g, a.Initial(), a.Transfer(p), bud)
-	return &tsBatchRun{b: b, a: a, res: res}
-}
-
-type tsBatchRun struct {
-	b   *tsBatch
-	a   *typestate.Analysis
-	res *dataflow.Result[typestate.State]
-}
-
-func (r *tsBatchRun) Check(q int) (bool, lang.Trace) {
-	query := typestate.Query{Nodes: []int{r.b.g.Exit}, Want: r.b.wants[q]}
-	node, bad, found := typestate.FindFailure(r.a, r.res, query)
-	if !found {
-		return true, nil
-	}
-	return false, r.res.Witness(node, bad)
-}
-
-func (r *tsBatchRun) Steps() int { return r.res.Steps }
-
-// Backward builds a fresh per-call job: concurrent backward units must not
-// share an intern table.
-func (b *tsBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	j := b.c.Job()
-	j.Q.Want = b.wants[q]
-	return j.Backward(bud, p, t)
-}
-
-// escBatch poses one escape query per local of one generated program. The
-// escape analysis is query-independent: one forward solve serves all
-// queries, as in the driver's EscapeBatch.
-type escBatch struct {
-	c  EscCase
-	g  *lang.CFG
-	vs []string
-}
-
-var _ core.BatchProblem = (*escBatch)(nil)
-
-// NewEscBatch builds the batch problem; query i asks about local vs[i].
-func NewEscBatch(c EscCase, vs []string) core.BatchProblem {
-	return &escBatch{c: c, g: lang.BuildCFG(c.Prog), vs: vs}
-}
-
-func (b *escBatch) NumParams() int  { return len(b.c.sites()) }
-func (b *escBatch) NumQueries() int { return len(b.vs) }
-
-func (b *escBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
-	a := escape.New(escLocals, escFields, b.c.sites())
-	res := dataflow.SolveBudget(b.g, a.Initial(), a.Transfer(p), bud)
-	return &escBatchRun{b: b, a: a, res: res}
-}
-
-type escBatchRun struct {
-	b   *escBatch
-	a   *escape.Analysis
-	res *dataflow.Result[escape.State]
-}
-
-func (r *escBatchRun) Check(q int) (bool, lang.Trace) {
-	query := escape.Query{Nodes: []int{r.b.g.Exit}, V: r.b.vs[q]}
-	node, bad, found := escape.FindFailure(r.a, r.res, query)
-	if !found {
-		return true, nil
-	}
-	return false, r.res.Witness(node, bad)
-}
-
-func (r *escBatchRun) Steps() int { return r.res.Steps }
-
-func (b *escBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	j := b.c.Job()
-	j.Q.V = b.vs[q]
-	return j.Backward(bud, p, t)
-}
-
-// nullBatch poses one nullness query per local of one generated program.
-// Like escape, the nullness analysis is query-independent: one forward
-// solve serves all queries, as in the driver's NullnessBatch.
-type nullBatch struct {
-	c  NullCase
-	g  *lang.CFG
-	vs []string
-}
-
-var _ core.BatchProblem = (*nullBatch)(nil)
-
-// NewNullBatch builds the batch problem; query i asks about local vs[i].
-func NewNullBatch(c NullCase, vs []string) core.BatchProblem {
-	return &nullBatch{c: c, g: lang.BuildCFG(c.Prog), vs: vs}
-}
-
-func (b *nullBatch) NumParams() int  { return len(b.c.locals()) + len(escFields) }
-func (b *nullBatch) NumQueries() int { return len(b.vs) }
-
-func (b *nullBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
-	a := nullness.New(b.c.locals(), escFields)
-	res := dataflow.SolveBudget(b.g, a.Initial(), a.Transfer(p), bud)
-	return &nullBatchRun{b: b, a: a, res: res}
-}
-
-type nullBatchRun struct {
-	b   *nullBatch
-	a   *nullness.Analysis
-	res *dataflow.Result[nullness.State]
-}
-
-func (r *nullBatchRun) Check(q int) (bool, lang.Trace) {
-	query := nullness.Query{Nodes: []int{r.b.g.Exit}, V: r.b.vs[q]}
-	node, bad, found := nullness.FindFailure(r.a, r.res, query)
-	if !found {
-		return true, nil
-	}
-	return false, r.res.Witness(node, bad)
-}
-
-func (r *nullBatchRun) Steps() int { return r.res.Steps }
-
-func (b *nullBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	j := b.c.Job()
-	j.Q.V = b.vs[q]
-	return j.Backward(bud, p, t)
+	return v
 }

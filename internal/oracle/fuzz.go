@@ -6,11 +6,8 @@ import (
 	"math/rand"
 
 	"tracer/internal/core"
-	"tracer/internal/escape"
 	"tracer/internal/lang"
-	"tracer/internal/nullness"
 	"tracer/internal/oracle/gen"
-	"tracer/internal/typestate"
 	"tracer/internal/uset"
 )
 
@@ -43,171 +40,33 @@ func (d Discrepancy) String() string {
 	return s
 }
 
-// FuzzTypestate runs o.N seeded type-state cases through the oracle,
-// shrinking and reporting every violating program.
-func FuzzTypestate(o FuzzOptions) []Discrepancy {
+// Fuzz runs o.N seeded cases of the named client through the oracle,
+// shrinking and reporting every violating program. It panics for a client
+// without an oracle family.
+func Fuzz(name string, o FuzzOptions) []Discrepancy {
+	f := families[name]
+	if f == nil {
+		panic("oracle: no case family for client " + name)
+	}
 	var out []Discrepancy
 	for i := 0; i < o.N; i++ {
 		seed := o.Seed + int64(i)
-		c := RandomTSCase(rand.New(rand.NewSource(seed)))
-		if len(CheckTSCase(c, o.Meta)) == 0 {
+		c := f.random(rand.New(rand.NewSource(seed)))
+		c.Client = name
+		if len(f.check(c, o.Meta)) == 0 {
 			continue
 		}
 		c.Prog = gen.Shrink(c.Prog, func(p lang.Prog) bool {
 			cc := c
 			cc.Prog = p
-			return len(CheckTSCase(cc, o.Meta)) > 0
+			return len(f.check(cc, o.Meta)) > 0
 		})
 		out = append(out, Discrepancy{
-			Client: "typestate", Seed: seed, Case: c.String(),
-			Violations: CheckTSCase(c, o.Meta),
+			Client: name, Seed: seed, Case: c.String(),
+			Violations: f.check(c, o.Meta),
 		})
 	}
 	return out
-}
-
-// FuzzEscape runs o.N seeded thread-escape cases through the oracle,
-// shrinking and reporting every violating program.
-func FuzzEscape(o FuzzOptions) []Discrepancy {
-	var out []Discrepancy
-	for i := 0; i < o.N; i++ {
-		seed := o.Seed + int64(i)
-		c := RandomEscCase(rand.New(rand.NewSource(seed)))
-		if len(CheckEscCase(c, o.Meta)) == 0 {
-			continue
-		}
-		c.Prog = gen.Shrink(c.Prog, func(p lang.Prog) bool {
-			cc := c
-			cc.Prog = p
-			return len(CheckEscCase(cc, o.Meta)) > 0
-		})
-		out = append(out, Discrepancy{
-			Client: "escape", Seed: seed, Case: c.String(),
-			Violations: CheckEscCase(c, o.Meta),
-		})
-	}
-	return out
-}
-
-// FuzzNullness runs o.N seeded null-dereference cases through the oracle,
-// shrinking and reporting every violating program.
-func FuzzNullness(o FuzzOptions) []Discrepancy {
-	var out []Discrepancy
-	for i := 0; i < o.N; i++ {
-		seed := o.Seed + int64(i)
-		c := RandomNullCase(rand.New(rand.NewSource(seed)))
-		if len(CheckNullCase(c, o.Meta)) == 0 {
-			continue
-		}
-		c.Prog = gen.Shrink(c.Prog, func(p lang.Prog) bool {
-			cc := c
-			cc.Prog = p
-			return len(CheckNullCase(cc, o.Meta)) > 0
-		})
-		out = append(out, Discrepancy{
-			Client: "nullness", Seed: seed, Case: c.String(),
-			Violations: CheckNullCase(c, o.Meta),
-		})
-	}
-	return out
-}
-
-// CheckTSCase verifies one type-state case: the three oracle properties,
-// and (with meta) permutation invariance, monotone padding, and batch
-// worker/cache invariance.
-func CheckTSCase(c TSCase, meta bool) []string {
-	v := CheckSolve(func() core.Problem { return c.Job() }, core.Options{})
-	if !meta {
-		return v
-	}
-	base, _ := core.Solve(c.Job(), core.Options{})
-
-	// Permutation invariance: consistently renaming the variables must not
-	// change the verdict or the minimum cost (|p| is permutation-invariant).
-	perm := rotation(tsVars)
-	renamed := c
-	renamed.Prog = gen.Rename(c.Prog, perm, nil)
-	if d := compareSolve(base, renamed.Job(), "variable permutation"); d != "" {
-		v = append(v, d)
-	}
-
-	// Monotone padding: never-referenced parameters cannot change what is
-	// provable or how much the cheapest proof costs.
-	padded := c
-	padded.Pad = 2
-	if d := compareSolve(base, padded.Job(), "parameter padding"); d != "" {
-		v = append(v, d)
-	}
-
-	if d := compareDelta(base, func() *typestate.Job { j := c.Job(); j.NoDelta = true; return j }()); d != "" {
-		v = append(v, d)
-	}
-	v = append(v, checkTSBatch(c)...)
-	v = append(v, checkWarmSeed(func() core.Problem { return c.Job() })...)
-	return v
-}
-
-// CheckEscCase verifies one thread-escape case (see CheckTSCase).
-func CheckEscCase(c EscCase, meta bool) []string {
-	v := CheckSolve(func() core.Problem { return c.Job() }, core.Options{})
-	if !meta {
-		return v
-	}
-	base, _ := core.Solve(c.Job(), core.Options{})
-
-	// Permutation invariance over both name spaces: locals and sites.
-	vperm, hperm := rotation(escLocals), rotation(escSites)
-	renamed := c
-	renamed.Prog = gen.Rename(c.Prog, vperm, hperm)
-	renamed.V = vperm[c.V]
-	if d := compareSolve(base, renamed.Job(), "local/site permutation"); d != "" {
-		v = append(v, d)
-	}
-
-	padded := c
-	padded.Pad = 2
-	if d := compareSolve(base, padded.Job(), "parameter padding"); d != "" {
-		v = append(v, d)
-	}
-
-	if d := compareDelta(base, func() *escape.Job { j := c.Job(); j.NoDelta = true; return j }()); d != "" {
-		v = append(v, d)
-	}
-	v = append(v, checkEscBatch(c)...)
-	v = append(v, checkWarmSeed(func() core.Problem { return c.Job() })...)
-	return v
-}
-
-// CheckNullCase verifies one null-dereference case (see CheckTSCase).
-func CheckNullCase(c NullCase, meta bool) []string {
-	v := CheckSolve(func() core.Problem { return c.Job() }, core.Options{})
-	if !meta {
-		return v
-	}
-	base, _ := core.Solve(c.Job(), core.Options{})
-
-	// Permutation invariance over both name spaces the generator renames:
-	// locals (the tracked cells) and allocation sites (nullness-neutral).
-	vperm, hperm := rotation(escLocals), rotation(escSites)
-	renamed := c
-	renamed.Prog = gen.Rename(c.Prog, vperm, hperm)
-	renamed.V = vperm[c.V]
-	if d := compareSolve(base, renamed.Job(), "local/site permutation"); d != "" {
-		v = append(v, d)
-	}
-
-	padded := c
-	padded.Pad = 2
-	if d := compareSolve(base, padded.Job(), "parameter padding"); d != "" {
-		v = append(v, d)
-	}
-
-	if d := compareDelta(base, func() *nullness.Job { j := c.Job(); j.NoDelta = true; return j }()); d != "" {
-		v = append(v, d)
-	}
-	v = append(v, checkNullBatch(c)...)
-	v = append(v, checkWarmSeed(func() core.Problem { return c.Job() })...)
-	return v
 }
 
 // checkWarmSeed replays the warm-start contract (internal/warm) at the core
@@ -313,72 +172,6 @@ var batchVariants = []core.Options{
 	{Workers: 4},
 	{Workers: 4, FwdCacheSize: -1},
 	{Workers: 4, NoDelta: true},
-}
-
-// checkTSBatch cross-checks SolveBatch against per-query Solve on three
-// Want variants of the case, across the worker/cache grid.
-func checkTSBatch(c TSCase) []string {
-	prop := tsProp(c.Prop)
-	full := uset.Bits(1<<len(prop.States) - 1)
-	wants := []uset.Bits{c.Want, full, uset.Bits(0).Add(prop.Init)}
-	solo := make([]core.Result, len(wants))
-	for i, w := range wants {
-		j := c.Job()
-		j.Q.Want = w
-		solo[i], _ = core.Solve(j, core.Options{})
-	}
-	var v []string
-	for _, opts := range batchVariants {
-		res, err := core.SolveBatch(NewTSBatch(c, wants), opts)
-		if err != nil {
-			v = append(v, fmt.Sprintf("batch (workers=%d cache=%d) failed: %v", opts.Workers, opts.FwdCacheSize, err))
-			continue
-		}
-		v = append(v, compareBatch(solo, res, opts)...)
-	}
-	return v
-}
-
-// checkEscBatch cross-checks SolveBatch against per-query Solve with one
-// query per local, across the worker/cache grid.
-func checkEscBatch(c EscCase) []string {
-	solo := make([]core.Result, len(escLocals))
-	for i, local := range escLocals {
-		j := c.Job()
-		j.Q.V = local
-		solo[i], _ = core.Solve(j, core.Options{})
-	}
-	var v []string
-	for _, opts := range batchVariants {
-		res, err := core.SolveBatch(NewEscBatch(c, escLocals), opts)
-		if err != nil {
-			v = append(v, fmt.Sprintf("batch (workers=%d cache=%d) failed: %v", opts.Workers, opts.FwdCacheSize, err))
-			continue
-		}
-		v = append(v, compareBatch(solo, res, opts)...)
-	}
-	return v
-}
-
-// checkNullBatch cross-checks SolveBatch against per-query Solve with one
-// query per local, across the worker/cache grid.
-func checkNullBatch(c NullCase) []string {
-	solo := make([]core.Result, len(escLocals))
-	for i, local := range escLocals {
-		j := c.Job()
-		j.Q.V = local
-		solo[i], _ = core.Solve(j, core.Options{})
-	}
-	var v []string
-	for _, opts := range batchVariants {
-		res, err := core.SolveBatch(NewNullBatch(c, escLocals), opts)
-		if err != nil {
-			v = append(v, fmt.Sprintf("batch (workers=%d cache=%d) failed: %v", opts.Workers, opts.FwdCacheSize, err))
-			continue
-		}
-		v = append(v, compareBatch(solo, res, opts)...)
-	}
-	return v
 }
 
 // compareBatch requires each batch query to resolve exactly like its solo

@@ -3,6 +3,7 @@ package oracle
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/lang"
 	"tracer/internal/nullness"
@@ -18,16 +19,16 @@ import (
 // to ⊤ at the copy, so the hand-computed minimum cost is 2. The z query is
 // impossible — z is null on the branch (and uninitialized otherwise) under
 // every abstraction.
-func nullnessHandJob(v string) *nullness.Job {
+func nullnessHandJob(v string) *client.Job[nullness.State] {
 	prog := lang.SeqN(
 		lang.Atoms(lang.Alloc{V: "x", H: "h"}),
 		lang.Atoms(lang.Move{Dst: "y", Src: "x"}),
 		lang.If(lang.Atoms(lang.MoveNull{V: "z"})),
 	)
 	g := lang.BuildCFG(prog)
-	locals, fields := nullness.Universe(g)
+	locals, fields, _ := lang.Names(g)
 	a := nullness.New(locals, fields)
-	return &nullness.Job{A: a, G: g, Q: nullness.Query{Nodes: []int{g.Exit}, V: v}, K: 1}
+	return client.NewJob[nullness.State](a, client.Goal{Subject: v}, g, []int{g.Exit}, 1)
 }
 
 // TestNullnessHandExample runs the brute-force oracle on the hand example:
@@ -54,7 +55,8 @@ func TestNullnessHandExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := nullnessHandJob("y")
-	want := uset.New(j.A.Locals.ID("x")).Add(j.A.Locals.ID("y"))
+	a := j.A.(*nullness.Analysis)
+	want := uset.New(a.Locals.ID("x")).Add(a.Locals.ID("y"))
 	if !res.Abstraction.Equal(want) {
 		t.Fatalf("abstraction = %v, want {x, y}", res.Abstraction)
 	}
@@ -70,7 +72,7 @@ func TestNullnessHandExample(t *testing.T) {
 // TestFuzzNullnessProperties is the nullness twin of the tier-1 fixed-seed
 // sweeps: 2000 cases through minimality, impossibility, and cube soundness.
 func TestFuzzNullnessProperties(t *testing.T) {
-	if ds := FuzzNullness(FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
+	if ds := Fuzz("nullness", FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
 		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
 	}
 }
@@ -78,7 +80,7 @@ func TestFuzzNullnessProperties(t *testing.T) {
 // TestFuzzNullnessMetamorphic is the nullness metamorphic sweep (permutation,
 // padding, delta-vs-cold, batch worker/cache invariance, warm seeding).
 func TestFuzzNullnessMetamorphic(t *testing.T) {
-	if ds := FuzzNullness(FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
+	if ds := Fuzz("nullness", FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
 		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
 	}
 }

@@ -3,7 +3,9 @@ package oracle
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
+	"tracer/internal/driver"
 	"tracer/internal/escape"
 	"tracer/internal/lang"
 	"tracer/internal/typestate"
@@ -14,7 +16,7 @@ import (
 // state set — the published example the oracle self-checks against.
 //
 //	x = new File; y = x; if (*) z = x; x.open(); y.close(); check(x, σ)
-func figure1Job(want ...string) *typestate.Job {
+func figure1Job(want ...string) *client.Job[typestate.State] {
 	prog := lang.SeqN(
 		lang.Atoms(lang.Alloc{V: "x", H: "h"}),
 		lang.Atoms(lang.Move{Dst: "y", Src: "x"}),
@@ -23,12 +25,13 @@ func figure1Job(want ...string) *typestate.Job {
 		lang.Atoms(lang.Invoke{V: "y", M: "close"}),
 	)
 	g := lang.BuildCFG(prog)
-	a := typestate.New(typestate.FileProperty(), "h", typestate.CollectVars(g))
+	vars, _, _ := lang.Names(g)
+	a := typestate.New(typestate.FileProperty(), "h", vars)
 	var w uset.Bits
 	for _, s := range want {
 		w = w.Add(a.Prop.MustState(s))
 	}
-	return &typestate.Job{A: a, G: g, Q: typestate.Query{Nodes: []int{g.Exit}, Want: w}, K: 1}
+	return client.NewJob[typestate.State](a, client.Goal{Want: w}, g, []int{g.Exit}, 1)
 }
 
 // TestFigure1SelfCheck runs the brute-force oracle on Fig 1: the enumerated
@@ -54,7 +57,7 @@ func TestFigure1SelfCheck(t *testing.T) {
 	j := figure1Job("closed")
 	got := map[string]bool{}
 	for _, v := range res.Abstraction.Elems() {
-		got[j.A.Vars.Value(v)] = true
+		got[j.ParamName(v)] = true
 	}
 	if len(got) != 2 || !got["x"] || !got["y"] {
 		t.Fatalf("cheapest abstraction = %v, want {x, y}", got)
@@ -71,16 +74,16 @@ func TestFigure1SelfCheck(t *testing.T) {
 // figure6Job builds the paper's Fig 6 program with the local(u) query.
 //
 //	u = new h1; v = new h2; v.f = u; pc: local(u)?
-func figure6Job() *escape.Job {
+func figure6Job() *client.Job[escape.State] {
 	prog := lang.Atoms(
 		lang.Alloc{V: "u", H: "h1"},
 		lang.Alloc{V: "v", H: "h2"},
 		lang.Store{Dst: "v", F: "f", Src: "u"},
 	)
 	g := lang.BuildCFG(prog)
-	locals, fields, sites := escape.Universe(g)
+	locals, fields, sites := lang.Names(g)
 	a := escape.New(locals, fields, sites)
-	return &escape.Job{A: a, G: g, Q: escape.Query{Nodes: []int{g.Exit}, V: "u"}, K: 1}
+	return client.NewJob[escape.State](a, client.Goal{Subject: "u"}, g, []int{g.Exit}, 1)
 }
 
 // TestFigure6SelfCheck runs the oracle on Fig 6: the enumerated minimum must
@@ -105,7 +108,8 @@ func TestFigure6SelfCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := figure6Job()
-	want := uset.New(j.A.Sites.ID("h1")).Add(j.A.Sites.ID("h2"))
+	a := j.A.(*escape.Analysis)
+	want := uset.New(a.Sites.ID("h1")).Add(a.Sites.ID("h2"))
 	if !res.Abstraction.Equal(want) {
 		t.Fatalf("abstraction = %v, want {h1, h2}", res.Abstraction)
 	}
@@ -142,14 +146,14 @@ func TestTruthHelpers(t *testing.T) {
 // same generator found no discrepancies; this keeps a broad slice of that
 // sweep in every CI run.
 func TestFuzzTypestateProperties(t *testing.T) {
-	if ds := FuzzTypestate(FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
+	if ds := Fuzz("typestate", FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
 		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
 	}
 }
 
 // TestFuzzEscapeProperties is the escape-client twin of the sweep above.
 func TestFuzzEscapeProperties(t *testing.T) {
-	if ds := FuzzEscape(FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
+	if ds := Fuzz("escape", FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
 		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
 	}
 }
@@ -157,14 +161,14 @@ func TestFuzzEscapeProperties(t *testing.T) {
 // TestFuzzTypestateMetamorphic runs the metamorphic suite (permutation,
 // padding, batch worker/cache invariance) on fixed-seed type-state cases.
 func TestFuzzTypestateMetamorphic(t *testing.T) {
-	if ds := FuzzTypestate(FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
+	if ds := Fuzz("typestate", FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
 		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
 	}
 }
 
 // TestFuzzEscapeMetamorphic is the escape-client metamorphic sweep.
 func TestFuzzEscapeMetamorphic(t *testing.T) {
-	if ds := FuzzEscape(FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
+	if ds := Fuzz("escape", FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
 		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
 	}
 }
@@ -172,14 +176,24 @@ func TestFuzzEscapeMetamorphic(t *testing.T) {
 // TestFuzzDeterministic: the same options must reproduce byte-identical
 // reports — the property every replay instruction in a Discrepancy rests on.
 func TestFuzzDeterministic(t *testing.T) {
-	a := FuzzTypestate(FuzzOptions{Seed: 7, N: 50, Meta: true})
-	b := FuzzTypestate(FuzzOptions{Seed: 7, N: 50, Meta: true})
+	a := Fuzz("typestate", FuzzOptions{Seed: 7, N: 50, Meta: true})
+	b := Fuzz("typestate", FuzzOptions{Seed: 7, N: 50, Meta: true})
 	if len(a) != len(b) {
 		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i].String() != b[i].String() {
 			t.Fatalf("report %d differs:\n%s\nvs\n%s", i, a[i], b[i])
+		}
+	}
+}
+
+// TestFuzzCoversRegistry: every registered client has an oracle case
+// family, so tracer -fuzz-n sweeps the whole registry.
+func TestFuzzCoversRegistry(t *testing.T) {
+	for _, spec := range driver.Clients() {
+		if families[spec.Name] == nil {
+			t.Errorf("client %s has no oracle case family", spec.Name)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/escape"
 	"tracer/internal/ir"
@@ -68,7 +69,7 @@ func TestEquivalenceWithInliner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locals, fields, sites := escape.Universe(low.G)
+	locals, fields, sites := lang.Names(low.G)
 	aInl := escape.New(locals, fields, sites)
 	aRHS := escape.New(locals, fields, sites)
 
@@ -162,7 +163,7 @@ func universeOf(g *Graph) (locals, fields, sites []string) {
 			}
 		}
 	}
-	return escape.Universe(tmp)
+	return lang.Names(tmp)
 }
 
 const recursiveSrc = `
@@ -232,7 +233,7 @@ func TestRecursiveProgram(t *testing.T) {
 	}
 	closed := uset.Bits(0).Add(a.Prop.MustState("closed"))
 	for _, d := range res.States(qf.At.Method, qf.At.Node) {
-		if !(typestate.Query{Want: closed}).Holds(d) {
+		if !a.Holds(client.Goal{Want: closed}, d) {
 			t.Fatalf("state %s violates qf despite tracking f", a.Format(d))
 		}
 	}
@@ -260,5 +261,6 @@ func universeVars(g *Graph) []string {
 			}
 		}
 	}
-	return typestate.CollectVars(tmp)
+	vars, _, _ := lang.Names(tmp)
+	return vars
 }

@@ -106,8 +106,8 @@ func (g *Graph) EachAtom(f func(a lang.Atom)) {
 }
 
 // AtomsCFG flattens every atom onto a throwaway single-method CFG, so the
-// analyses' universe collectors (escape.Universe, typestate.CollectVars),
-// which consume lang.CFG values, apply unchanged.
+// universe collector lang.Names, which consumes lang.CFG values, applies
+// unchanged.
 func (g *Graph) AtomsCFG() *lang.CFG {
 	out := lang.NewCFG()
 	cur := out.AddNode()

@@ -220,7 +220,7 @@ func (s *Server) runBatch(reqs []*request) {
 	// query key is resolved or any warm-store session can be opened against
 	// the wrong client's snapshots.
 	spec := driver.ClientByName(string(first.client))
-	wc, wcOK := warmClient(first.client)
+	wc, wcOK := warm.ClientOf(string(first.client))
 	if spec == nil || !wcOK {
 		failAll(fmt.Sprintf("invalid client %q", first.client))
 		return
@@ -307,22 +307,6 @@ func (s *Server) runBatch(reqs []*request) {
 	for i, r := range live {
 		s.respond(r, s.resultResponse(r, res.Results[i], bi, start, solveNS))
 	}
-}
-
-// warmClient maps the wire client onto the warm store's. The mapping is
-// exhaustive: an unknown kind returns false instead of silently landing on
-// some other client's warm store — cross-client clause reuse would poison
-// the cache the moment the mapping fell through.
-func warmClient(c clientKind) (warm.Client, bool) {
-	switch c {
-	case clientTypestate:
-		return warm.Typestate, true
-	case clientEscape:
-		return warm.Escape, true
-	case clientNullness:
-		return warm.Nullness, true
-	}
-	return "", false
 }
 
 // resultResponse converts one solver Result into the wire response.

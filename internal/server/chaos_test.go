@@ -30,22 +30,18 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nts, nesc := len(prog.TypestateQueries()), len(prog.EscapeQueries())
+	tsSpec, escSpec := driver.ClientByName("typestate"), driver.ClientByName("escape")
+	nts, nesc := len(tsSpec.Queries(prog)), len(escSpec.Queries(prog))
 
 	truth := map[string]core.Result{}
-	for i, q := range prog.TypestateQueries() {
-		r, err := core.Solve(prog.TypestateJob(q, 5), core.Options{})
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []*driver.ClientSpec{tsSpec, escSpec} {
+		for i := range c.Queries(prog) {
+			r, err := core.Solve(c.Job(prog, i, 5), core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth[fmt.Sprintf("%s#%d", c.Name, i)] = r
 		}
-		truth[fmt.Sprintf("typestate#%d", i)] = r
-	}
-	for i, q := range prog.EscapeQueries() {
-		r, err := core.Solve(prog.EscapeJob(q, 5), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth[fmt.Sprintf("escape#%d", i)] = r
 	}
 
 	for _, seed := range []int64{7, 41} {

@@ -9,6 +9,7 @@ import (
 
 	"tracer/internal/bench"
 	"tracer/internal/core"
+	"tracer/internal/driver"
 )
 
 // TestServerPathMatchesSolve is the metamorphic server-path oracle: for a
@@ -28,28 +29,18 @@ func TestServerPathMatchesSolve(t *testing.T) {
 		id     string
 	}
 	var queries []q
-	for i, tq := range b.Prog.TypestateQueries() {
-		if i >= 12 {
-			break
+	for _, name := range []string{"typestate", "escape"} {
+		for i, gq := range driver.ClientByName(name).Queries(b.Prog) {
+			if i >= 12 {
+				break
+			}
+			queries = append(queries, q{name, i, gq.ID})
 		}
-		queries = append(queries, q{"typestate", i, tq.ID})
-	}
-	for i, eq := range b.Prog.EscapeQueries() {
-		if i >= 12 {
-			break
-		}
-		queries = append(queries, q{"escape", i, eq.ID})
 	}
 
 	truth := make([]core.Result, len(queries))
 	for i, qq := range queries {
-		var job core.Problem
-		if qq.client == "typestate" {
-			job = b.Prog.TypestateJob(b.Prog.TypestateQueries()[qq.ix], 5)
-		} else {
-			job = b.Prog.EscapeJob(b.Prog.EscapeQueries()[qq.ix], 5)
-		}
-		r, err := core.Solve(job, core.Options{})
+		r, err := core.Solve(driver.ClientByName(qq.client).Job(b.Prog, qq.ix, 5), core.Options{})
 		if err != nil {
 			t.Fatalf("truth %s: %v", qq.id, err)
 		}

@@ -117,19 +117,15 @@ func localTruth(t *testing.T, src string, k int) map[string]core.Result {
 		t.Fatal(err)
 	}
 	truth := map[string]core.Result{}
-	for _, q := range prog.TypestateQueries() {
-		r, err := core.Solve(prog.TypestateJob(q, k), core.Options{})
-		if err != nil {
-			t.Fatalf("truth %s: %v", q.ID, err)
+	for _, name := range []string{"typestate", "escape"} {
+		c := driver.ClientByName(name)
+		for i, q := range c.Queries(prog) {
+			r, err := core.Solve(c.Job(prog, i, k), core.Options{})
+			if err != nil {
+				t.Fatalf("truth %s: %v", q.ID, err)
+			}
+			truth[name+"/"+q.ID] = r
 		}
-		truth["typestate/"+q.ID] = r
-	}
-	for _, q := range prog.EscapeQueries() {
-		r, err := core.Solve(prog.EscapeJob(q, k), core.Options{})
-		if err != nil {
-			t.Fatalf("truth %s: %v", q.ID, err)
-		}
-		truth["escape/"+q.ID] = r
 	}
 	return truth
 }
@@ -158,11 +154,10 @@ func TestSolveMatchesCore(t *testing.T) {
 			t.Errorf("%s %s: missing timings %+v", client, id, resp.Timing)
 		}
 	}
-	for _, q := range prog.TypestateQueries() {
-		check("typestate", q.ID)
-	}
-	for _, q := range prog.EscapeQueries() {
-		check("escape", q.ID)
+	for _, name := range []string{"typestate", "escape"} {
+		for _, q := range driver.ClientByName(name).Queries(prog) {
+			check(name, q.ID)
+		}
 	}
 }
 
@@ -171,7 +166,7 @@ func TestSolveMatchesCore(t *testing.T) {
 func TestQuerySelectors(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	prog, _ := driver.Load(fixtureSrc)
-	q := prog.EscapeQueries()[0]
+	q := driver.ClientByName("escape").Queries(prog)[0]
 	byID := solve(t, hs.URL, SolveRequest{Program: fixtureSrc, Client: "escape", Query: q.ID})
 	byKey := solve(t, hs.URL, SolveRequest{Program: fixtureSrc, Client: "escape", Query: q.Key})
 	byIx := solve(t, hs.URL, SolveRequest{Program: fixtureSrc, Client: "escape", Query: "#0"})

@@ -97,15 +97,8 @@ type ErrorResponse struct {
 
 // clientKind is a validated SolveRequest.Client: a driver registry wire
 // name (driver.ClientByName(string(kind)) != nil for every admitted
-// request). The named constants exist for tests and readability; dispatch
-// goes through the registry, not through enumerating them.
+// request). Dispatch goes through the registry.
 type clientKind string
-
-const (
-	clientTypestate clientKind = "typestate"
-	clientEscape    clientKind = "escape"
-	clientNullness  clientKind = "nullness"
-)
 
 // kMax bounds the accepted beam width; larger values are a resource-abuse
 // vector (the meta-analysis is exponential in k), not a legitimate request.
@@ -272,9 +265,9 @@ type loadedProgram struct {
 	byClient map[clientKind]*clientQueries
 }
 
-// loadProgram parses and prepares src. Lazily-built driver memos (statement
-// keys, site owners) are forced here, on one goroutine, because the result is
-// shared by concurrent batch executors.
+// loadProgram parses and prepares src and builds every client's query list.
+// The result is shared by concurrent batch executors (the driver's lazily
+// built memos are safe for concurrent use).
 func loadProgram(key, src string) (lp *loadedProgram, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -295,6 +288,5 @@ func loadProgram(key, src string) (lp *loadedProgram, err error) {
 		}
 		lp.byClient[clientKind(spec.Name)] = cq
 	}
-	prog.SiteOwner("") // force the site-owner memo (used by warm sessions)
 	return lp, nil
 }

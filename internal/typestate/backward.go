@@ -3,6 +3,7 @@ package typestate
 import (
 	"fmt"
 
+	"tracer/internal/client"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
 	"tracer/internal/uset"
@@ -288,9 +289,9 @@ func (a *Analysis) wpType(at lang.Atom, pr PType) formula.Formula {
 	)
 }
 
-// NotQ returns the failure condition not(q) for a query: err ∨ ⋁{type(σ) |
+// NotQ returns the failure condition not(q) for a goal: err ∨ ⋁{type(σ) |
 // σ ∉ Want}.
-func (a *Analysis) NotQ(q Query) formula.Formula {
+func (a *Analysis) NotQ(q client.Goal) formula.Formula {
 	out := []formula.Formula{formula.L(PErr{})}
 	for s := range a.Prop.States {
 		if !q.Want.Has(s) {

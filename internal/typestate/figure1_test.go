@@ -3,6 +3,7 @@ package typestate
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/dataflow"
 	"tracer/internal/lang"
@@ -25,7 +26,8 @@ func figure1(t *testing.T) (*Analysis, *lang.CFG) {
 		lang.Atoms(lang.Invoke{V: "y", M: "close"}),
 	)
 	g := lang.BuildCFG(prog)
-	a := New(FileProperty(), "h", CollectVars(g))
+	vars, _, _ := lang.Names(g)
+	a := New(FileProperty(), "h", vars)
 	return a, g
 }
 
@@ -41,7 +43,7 @@ func (a *Analysis) wantStates(names ...string) uset.Bits {
 // cheapest abstraction {x, y}, in three iterations.
 func TestFigure1Check1(t *testing.T) {
 	a, g := figure1(t)
-	job := &Job{A: a, G: g, Q: Query{Nodes: []int{g.Exit}, Want: a.wantStates("closed")}, K: 1}
+	job := client.NewJob[State](a, client.Goal{Want: a.wantStates("closed")}, g, []int{g.Exit}, 1)
 	res, err := core.Solve(job, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +67,7 @@ func TestFigure1Check1(t *testing.T) {
 // abstraction, discovered in two iterations.
 func TestFigure1Check2(t *testing.T) {
 	a, g := figure1(t)
-	job := &Job{A: a, G: g, Q: Query{Nodes: []int{g.Exit}, Want: a.wantStates("opened")}, K: 1}
+	job := client.NewJob[State](a, client.Goal{Want: a.wantStates("opened")}, g, []int{g.Exit}, 1)
 	res, err := core.Solve(job, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +85,8 @@ func TestFigure1Check2(t *testing.T) {
 // closed∈ts ∧ opened∉ts ∧ x∉p.
 func TestFigure1Iteration1Formulas(t *testing.T) {
 	a, g := figure1(t)
-	q := Query{Nodes: []int{g.Exit}, Want: a.wantStates("closed")}
-	job := &Job{A: a, G: g, Q: q, K: 1}
+	q := client.Goal{Want: a.wantStates("closed")}
+	job := client.NewJob[State](a, q, g, []int{g.Exit}, 1)
 	out := job.Forward(nil, nil)
 	if out.Proved {
 		t.Fatal("p = {} must fail to prove check1")
@@ -127,8 +129,8 @@ func TestFigure1Iteration1Formulas(t *testing.T) {
 // condition is closed∈ts ∧ opened∉ts ∧ y∉p ∧ x∈p.
 func TestFigure1Iteration2Formulas(t *testing.T) {
 	a, g := figure1(t)
-	q := Query{Nodes: []int{g.Exit}, Want: a.wantStates("closed")}
-	job := &Job{A: a, G: g, Q: q, K: 1}
+	q := client.Goal{Want: a.wantStates("closed")}
+	job := client.NewJob[State](a, q, g, []int{g.Exit}, 1)
 	x, _ := a.Vars.Lookup("x")
 	p := uset.New(x)
 	out := job.Forward(nil, p)
@@ -148,8 +150,8 @@ func TestFigure1Iteration2Formulas(t *testing.T) {
 // TestFigure1ForwardStates checks the α annotations of Fig 1(c) and (d).
 func TestFigure1ForwardStates(t *testing.T) {
 	a, g := figure1(t)
-	q := Query{Nodes: []int{g.Exit}, Want: a.wantStates("closed")}
-	job := &Job{A: a, G: g, Q: q, K: 1}
+	q := client.Goal{Want: a.wantStates("closed")}
+	job := client.NewJob[State](a, q, g, []int{g.Exit}, 1)
 
 	// Iteration 1, p = {}: weak updates everywhere, ending in ⊤.
 	out := job.Forward(nil, nil)
@@ -191,7 +193,7 @@ func TestFigure1ForwardStates(t *testing.T) {
 // drag z into any abstraction TRACER tries.
 func TestIrrelevantVariableNotTracked(t *testing.T) {
 	a, g := figure1(t)
-	job := &Job{A: a, G: g, Q: Query{Nodes: []int{g.Exit}, Want: a.wantStates("closed")}, K: 1}
+	job := client.NewJob[State](a, client.Goal{Want: a.wantStates("closed")}, g, []int{g.Exit}, 1)
 	res, err := core.Solve(job, core.Options{})
 	if err != nil {
 		t.Fatal(err)

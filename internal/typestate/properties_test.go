@@ -3,6 +3,7 @@ package typestate
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
@@ -25,9 +26,10 @@ func TestSocketProtocolEndToEnd(t *testing.T) {
 		lang.Invoke{V: "a", M: "send"},
 	)
 	g := lang.BuildCFG(prog)
-	a := New(SocketProperty(), "h", CollectVars(g))
+	vars, _, _ := lang.Names(g)
+	a := New(SocketProperty(), "h", vars)
 	want := uset.Bits(0).Add(a.Prop.MustState("connected"))
-	job := &Job{A: a, G: g, Q: Query{Nodes: []int{g.Exit}, Want: want}, K: 5}
+	job := client.NewJob[State](a, client.Goal{Want: want}, g, []int{g.Exit}, 5)
 	res, err := core.Solve(job, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +57,10 @@ func TestSocketMisuseImpossible(t *testing.T) {
 		lang.Invoke{V: "s", M: "send"}, // protocol violation
 	)
 	g := lang.BuildCFG(prog)
-	a := New(SocketProperty(), "h", CollectVars(g))
+	vars, _, _ := lang.Names(g)
+	a := New(SocketProperty(), "h", vars)
 	want := uset.Bits(0).Add(a.Prop.MustState("connected"))
-	job := &Job{A: a, G: g, Q: Query{Nodes: []int{g.Exit}, Want: want}, K: 5}
+	job := client.NewJob[State](a, client.Goal{Want: want}, g, []int{g.Exit}, 5)
 	res, err := core.Solve(job, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +81,7 @@ func TestIteratorProtocol(t *testing.T) {
 		lang.Invoke{V: "it", M: "hasNext"},
 		lang.Invoke{V: "it", M: "next"},
 	))
-	res, err := core.Solve(&Job{A: a, G: good, Q: Query{Nodes: []int{good.Exit}, Want: want}, K: 5}, core.Options{})
+	res, err := core.Solve(client.NewJob[State](a, client.Goal{Want: want}, good, []int{good.Exit}, 5), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestIteratorProtocol(t *testing.T) {
 		lang.Invoke{V: "it", M: "next"},
 		lang.Invoke{V: "it", M: "next"}, // unguarded second next
 	))
-	res, err = core.Solve(&Job{A: a2, G: bad, Q: Query{Nodes: []int{bad.Exit}, Want: want}, K: 5}, core.Options{})
+	res, err = core.Solve(client.NewJob[State](a2, client.Goal{Want: want}, bad, []int{bad.Exit}, 5), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
@@ -126,7 +127,7 @@ func TestTheorem3RandomTraces(t *testing.T) {
 		atoms := testAtoms(prop)
 		abstractions := a.AllAbstractions()
 		states := a.AllStates()
-		q := Query{Want: uset.Bits(0).Add(prop.Init)}
+		q := client.Goal{Want: uset.Bits(0).Add(prop.Init)}
 		post := a.NotQ(q)
 		for trial := 0; trial < 60; trial++ {
 			n := 1 + rng.Intn(6)

@@ -11,7 +11,6 @@ package typestate
 
 import (
 	"fmt"
-	"sort"
 
 	"tracer/internal/dataflow"
 	"tracer/internal/intern"
@@ -155,43 +154,6 @@ func New(prop *Property, site string, vars []string) *Analysis {
 		a.Vars.ID(v)
 	}
 	return a
-}
-
-// CollectVars returns the sorted set of local variable names mentioned by
-// the atoms of a CFG, for building the variable universe.
-func CollectVars(g *lang.CFG) []string {
-	seen := make(map[string]bool)
-	add := func(vs ...string) {
-		for _, v := range vs {
-			seen[v] = true
-		}
-	}
-	for _, e := range g.Edges {
-		switch a := e.A.(type) {
-		case lang.Alloc:
-			add(a.V)
-		case lang.Move:
-			add(a.Dst, a.Src)
-		case lang.MoveNull:
-			add(a.V)
-		case lang.GlobalWrite:
-			add(a.V)
-		case lang.GlobalRead:
-			add(a.V)
-		case lang.Load:
-			add(a.Dst, a.Src)
-		case lang.Store:
-			add(a.Dst, a.Src)
-		case lang.Invoke:
-			add(a.V)
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Initial returns the initial abstract state dI = ({init}, ∅).
@@ -377,22 +339,4 @@ func (a *Analysis) step(p uset.Set, at lang.Atom, d State) State {
 		return State{TS: d.TS.Union(next), VS: d.VS}
 	}
 	return d
-}
-
-// Query asks whether, at a program point, the tracked object's type-state is
-// always within Want (and no error ⊤ has occurred). This subsumes both the
-// File example's check(x, σ) queries and the evaluation's stress queries
-// (Want = {init}). A source-level program point may correspond to several
-// CFG nodes after inlining, so a query carries a node set.
-type Query struct {
-	Nodes []int
-	Want  uset.Bits
-}
-
-// Holds reports whether a single abstract state satisfies the query.
-func (q Query) Holds(d State) bool {
-	if d.Top {
-		return false
-	}
-	return d.TS.Intersect(^q.Want) == 0
 }

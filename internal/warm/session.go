@@ -15,7 +15,9 @@ import (
 	"tracer/internal/uset"
 )
 
-// Client names the analysis client a session stores entries for.
+// Client names the analysis client a session stores entries for. The names
+// are the on-disk identities of stored snapshots: append-only, never
+// renamed or reused.
 type Client string
 
 const (
@@ -23,6 +25,18 @@ const (
 	Escape    Client = "escape"
 	Nullness  Client = "nullness"
 )
+
+// ClientOf maps a driver registry name onto its warm-store identity. The
+// mapping is exhaustive: a client without one reports false instead of
+// silently landing on another client's snapshots.
+func ClientOf(name string) (Client, bool) {
+	for _, c := range []Client{Typestate, Escape, Nullness} {
+		if string(c) == name {
+			return c, true
+		}
+	}
+	return "", false
+}
 
 // Config identifies the solving configuration of a session. K participates
 // in the snapshot's config signature (clauses learned at one k are not
@@ -88,9 +102,6 @@ func (st *Store) Session(p *driver.Program, conf Config) *Session {
 	for i, n := range s.names {
 		s.nameIdx[n] = i
 	}
-	// Pre-build the program's lazily-constructed site-owner table here, on
-	// one goroutine: RecordLearn may fire concurrently from batch workers.
-	p.SiteOwner("")
 	s.load()
 	return s
 }

@@ -125,40 +125,23 @@ func load(t *testing.T, src string) *driver.Program {
 // mirroring the bench harness wiring: replay, then seeded solve, then
 // record. Returns results keyed by the stable query key.
 func solveTS(t *testing.T, p *driver.Program, sess *Session, conf Config) map[string]core.Result {
-	t.Helper()
-	out := map[string]core.Result{}
-	for _, q := range p.TypestateQueries() {
-		q := q
-		if r, ok := sess.Replay(q.Key); ok {
-			out[q.Key] = r
-			continue
-		}
-		r, err := core.Solve(p.TypestateJob(q, conf.K), core.Options{
-			MaxIters: conf.MaxIters,
-			Seed:     sess.SeedFor(q.Key),
-			OnLearn: func(_ int, _ uset.Set, tr lang.Trace, cubes []core.ParamCube) {
-				sess.RecordLearn(q.Key, tr, cubes)
-			},
-		})
-		if err != nil {
-			t.Fatalf("query %s: %v", q.ID, err)
-		}
-		sess.RecordResult(q.Key, r)
-		out[q.Key] = r
-	}
-	return out
+	return solveAll(t, driver.ClientByName("typestate"), p, sess, conf)
 }
 
 func solveEsc(t *testing.T, p *driver.Program, sess *Session, conf Config) map[string]core.Result {
+	return solveAll(t, driver.ClientByName("escape"), p, sess, conf)
+}
+
+func solveAll(t *testing.T, c *driver.ClientSpec, p *driver.Program, sess *Session, conf Config) map[string]core.Result {
 	t.Helper()
 	out := map[string]core.Result{}
-	for _, q := range p.EscapeQueries() {
+	for i, q := range c.Queries(p) {
 		q := q
 		if r, ok := sess.Replay(q.Key); ok {
 			out[q.Key] = r
 			continue
 		}
-		r, err := core.Solve(p.EscapeJob(q, conf.K), core.Options{
+		r, err := core.Solve(c.Job(p, i, conf.K), core.Options{
 			MaxIters: conf.MaxIters,
 			Seed:     sess.SeedFor(q.Key),
 			OnLearn: func(_ int, _ uset.Set, tr lang.Trace, cubes []core.ParamCube) {
@@ -335,7 +318,7 @@ func TestWarmExhaustedReplay(t *testing.T) {
 
 	s2 := Open(dir, nil).Session(load(t, progBase), conf)
 	replayed := 0
-	for _, q := range load(t, progBase).TypestateQueries() {
+	for _, q := range driver.ClientByName("typestate").Queries(load(t, progBase)) {
 		if r, ok := s2.Replay(q.Key); ok {
 			replayed++
 			if r.Status != core.Exhausted {
@@ -349,7 +332,7 @@ func TestWarmExhaustedReplay(t *testing.T) {
 
 	// A different iteration budget must not replay.
 	s3 := Open(dir, nil).Session(load(t, progBase), tsConf(2))
-	if _, ok := s3.Replay(load(t, progBase).TypestateQueries()[0].Key); ok {
+	if _, ok := s3.Replay(driver.ClientByName("typestate").Queries(load(t, progBase))[0].Key); ok {
 		t.Fatal("replayed across a budget change")
 	}
 }
