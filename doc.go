@@ -33,8 +33,9 @@
 //     on the constants in internal/obs: minsat.search_nodes and
 //     minsat.incremental_reuse for the incremental min-cost solver,
 //     formula.subsumption_checks / formula.sig_filtered / formula.sig_skips
-//     for the signature-screened kernel scans, and
-//     meta.wp_formula_memo_hits/_misses for the whole-formula WP memo;
+//     for the signature-screened kernel scans,
+//     meta.wp_formula_memo_hits/_misses for the whole-formula WP memo, and
+//     meta.wp_lit_fills/_identity for the per-literal WP fills;
 //     README.md has the full reference table and a guide to reading the
 //     bench JSON these land in
 //

@@ -35,6 +35,10 @@ func NegL(p Prim) Formula { return Formula{kind: kLit, lit: Lit{P: p, Neg: true}
 // FromLit lifts a literal to a formula.
 func FromLit(l Lit) Formula { return Formula{kind: kLit, lit: l} }
 
+// IsLit reports whether f is syntactically the literal l: the shape a
+// weakest precondition takes for a primitive its atom does not touch.
+func (f Formula) IsLit(l Lit) bool { return f.kind == kLit && f.lit == l }
+
 // FromDNF converts a DNF back to a Formula.
 func FromDNF(d DNF) Formula {
 	disjuncts := make([]Formula, 0, len(d))

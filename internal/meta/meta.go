@@ -51,17 +51,29 @@ type Client[D comparable] struct {
 	Budget *budget.Budget
 }
 
-// WPCache memoizes per-(atom, literal) weakest-precondition DNFs. It is
-// safe to share across all Clients of one analysis instance, including
-// concurrently: lookups take a read lock, and the batch solver's backward
-// jobs fill it from multiple workers. Entries are immutable once stored
-// (both goroutines of a racing fill compute the same value).
+// WPCache memoizes weakest preconditions per (atom, literal) and per
+// (atom, formula). It is safe to share across all Clients of one analysis
+// instance, including concurrently: the batch solver's backward jobs fill
+// it from multiple workers. Values are immutable once stored (both
+// goroutines of a racing fill compute the same value).
 //
 // The cache is two-level: the atom map is consulted once per wpDNF call
 // (atoms are interface values, so the map lookup pays a typehash), and the
-// per-atom level is a plain slice indexed by the dense interned literal ID —
-// the per-literal lookups on the backward walk's hot path are a bounds check,
-// not a hash.
+// per-atom level is indexed by the dense interned literal ID — the
+// per-literal lookups on the backward walk's hot path are array loads, not
+// hashes.
+//
+// Almost every (atom, literal) pair a walk meets is the identity: the atom
+// does not touch the literal, and [a]♭(l) = l. Identity is therefore a
+// flag, not an entry: a fill that finds the identity sets two bits in
+// place, with no DNF conversion and no allocation beyond the flag block it
+// lands in. Only the few literals an atom does change store their DNF (see
+// atomWP).
+//
+// The cache's scope is its owner's: one job, one batch, or one
+// analysis-sharing key within a batch. It is deliberately not shared for a
+// program's lifetime, which would trade a large resident set for the fills
+// it saves (ARCHITECTURE.md has the measurement).
 //
 // WPCache rows are deliberately NOT persisted by the warm-start store
 // (internal/warm), even though they are immutable within a run: type-state
@@ -76,30 +88,22 @@ type WPCache struct {
 	mu sync.RWMutex
 	m  map[lang.Atom]*atomWP
 
-	// Formula-memo telemetry, flushed as the meta.wp_formula_memo_* obs
-	// counters by FlushWPObs.
-	fmHits, fmMisses atomic.Int64
+	// Telemetry flushed by FlushWPObs: formula-memo hits and misses
+	// (meta.wp_formula_memo_*), per-literal fills and the fills that found
+	// the identity (meta.wp_lit_fills, meta.wp_lit_identity).
+	fmHits, fmMisses      atomic.Int64
+	litFills, litIdentity atomic.Int64
 }
 
-// atomWP holds one atom's per-literal entries, indexed by interned ID. It is
-// a grow-only two-level table: an atomically published directory of
-// fixed-size blocks, each slot an atomic pointer to an immutable entry. A
-// lookup is two pointer loads and a fill is a single atomic store into its
-// slot — nothing is copied, so filling n literals costs O(n) total rather
-// than the O(n²) a copy-on-write snapshot would pay. Only directory growth
-// and block creation take the mutex, and both are rare.
+// atomWP holds one atom's per-literal cache, indexed by interned ID, in two
+// grow-only tables. flags holds two bits per literal, filled and identity,
+// set in place by CAS; it answers every identity literal on its own. ents
+// holds the DNF of each filled literal whose wp is not the identity. A
+// non-identity fill stores its entry before it sets its flag, so a reader
+// that sees the flag finds the entry.
 type atomWP struct {
-	mu     sync.Mutex // serializes directory growth
-	blocks atomic.Pointer[[]*atomic.Pointer[wpBlock]]
-
-	// idbm summarizes the per-literal entries for the unchanged fast path of
-	// wpDNF, which needs only each literal's identity flag: known marks
-	// literals whose entry has been computed, ident those whose wp is the
-	// identity. One pointer load plus two bit tests replaces the three
-	// dependent atomic loads (and entry copy) of a full get. Published
-	// copy-on-write; fills are once per (atom, literal), so the copies are
-	// rare.
-	idbm atomic.Pointer[idBits]
+	flags table[flagBlock]
+	ents  table[entBlock]
 
 	// Formula-level memo: wp applied to a whole DNF, keyed by the formula's
 	// fingerprint. The backward walks of successive CEGAR iterations revisit
@@ -155,50 +159,125 @@ func (w *atomWP) putFM(key uint64, d, out formula.DNF, unchanged bool) {
 }
 
 const (
-	wpBlockBits = 7
-	wpBlockSize = 1 << wpBlockBits
+	// A flag block covers 512 literals at two bits each (128 bytes).
+	flagBlockBits = 9
+	flagBlockSize = 1 << flagBlockBits
+	// An entry block holds 32 DNF pointers (256 bytes): non-identity
+	// literals are sparse, so blocks stay small.
+	entBlockBits = 5
+	entBlockSize = 1 << entBlockBits
 )
 
-// idBits is an immutable pair of bitmaps over interned literal IDs (see
-// atomWP.idbm).
-type idBits struct{ known, ident []uint64 }
+type (
+	flagBlock [flagBlockSize / 32]atomic.Uint64
+	entBlock  [entBlockSize]atomic.Pointer[formula.DNF]
+)
 
-// has reports whether literal lid's entry is known and, if so, whether it is
-// the identity.
-func (b *idBits) has(lid uint32) (known, ident bool) {
-	w := int(lid >> 6)
-	if b == nil || w >= len(b.known) {
-		return false, false
-	}
-	bit := uint64(1) << (lid & 63)
-	return b.known[w]&bit != 0, b.ident[w]&bit != 0
+// table is a grow-only two-level array of blocks B: an atomically published
+// directory of cells, each an atomic pointer to a block. Lookups are lock
+// free; only directory growth takes the mutex, and it is rare.
+type table[B any] struct {
+	mu  sync.Mutex
+	dir atomic.Pointer[[]*atomic.Pointer[B]]
 }
 
-// mark publishes literal lid's identity flag into w.idbm.
-func (w *atomWP) mark(lid uint32, identity bool) {
+// load returns block bi, or nil when it does not exist yet.
+func (t *table[B]) load(bi int) *B {
+	if dp := t.dir.Load(); dp != nil && bi < len(*dp) {
+		return (*dp)[bi].Load()
+	}
+	return nil
+}
+
+// block returns block bi, creating it (and growing the directory) first if
+// needed.
+func (t *table[B]) block(bi int) *B {
 	for {
-		old := w.idbm.Load()
-		n := int(lid>>6) + 1
-		if old != nil && len(old.known) > n {
-			n = len(old.known)
+		dp := t.dir.Load()
+		if dp == nil || bi >= len(*dp) {
+			t.grow(bi + 1)
+			continue
 		}
-		nb := &idBits{known: make([]uint64, n), ident: make([]uint64, n)}
-		if old != nil {
-			copy(nb.known, old.known)
-			copy(nb.ident, old.ident)
+		cell := (*dp)[bi]
+		if b := cell.Load(); b != nil {
+			return b
 		}
-		bit := uint64(1) << (lid & 63)
-		nb.known[lid>>6] |= bit
-		if identity {
-			nb.ident[lid>>6] |= bit
+		nb := new(B)
+		if cell.CompareAndSwap(nil, nb) {
+			return nb
 		}
-		if w.idbm.CompareAndSwap(old, nb) {
+		return cell.Load()
+	}
+}
+
+// grow extends the directory to cover at least n blocks. The old
+// directory's cells are carried over by pointer, so a block or a value
+// published through an old cell stays visible through the new directory.
+func (t *table[B]) grow(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.dir.Load()
+	if old != nil && len(*old) >= n {
+		return
+	}
+	if old != nil && 2*len(*old) > n {
+		n = 2 * len(*old)
+	}
+	nd := make([]*atomic.Pointer[B], n)
+	var copied int
+	if old != nil {
+		copied = copy(nd, *old)
+	}
+	cells := make([]atomic.Pointer[B], n-copied)
+	for i := range cells {
+		nd[copied+i] = &cells[i]
+	}
+	t.dir.Store(&nd)
+}
+
+// flag reports whether literal lid is filled and, if so, whether its wp is
+// the identity.
+func (w *atomWP) flag(lid uint32) (filled, identity bool) {
+	b := w.flags.load(int(lid >> flagBlockBits))
+	if b == nil {
+		return false, false
+	}
+	v := b[lid%flagBlockSize/32].Load() >> (2 * (lid % 32))
+	return v&1 != 0, v&2 != 0
+}
+
+// mark sets literal lid's flags.
+func (w *atomWP) mark(lid uint32, identity bool) {
+	word := &w.flags.block(int(lid >> flagBlockBits))[lid%flagBlockSize/32]
+	bits := uint64(1) << (2 * (lid % 32))
+	if identity {
+		bits |= bits << 1
+	}
+	for {
+		old := word.Load()
+		if old&bits == bits || word.CompareAndSwap(old, old|bits) {
 			return
 		}
 	}
 }
 
-type wpBlock [wpBlockSize]atomic.Pointer[wpEntry]
+// get returns literal lid's cached wp: ok reports whether it is filled and
+// identity whether the wp is the literal itself (d is then nil).
+func (w *atomWP) get(lid uint32) (d formula.DNF, identity, ok bool) {
+	filled, identity := w.flag(lid)
+	if !filled || identity {
+		return nil, identity, filled
+	}
+	return *w.ents.load(int(lid >> entBlockBits))[lid%entBlockSize].Load(), false, true
+}
+
+// put stores the non-identity wp d of literal lid and then its flag.
+// Racing fills of the same literal store equal values, so last-write-wins
+// is fine.
+func (w *atomWP) put(lid uint32, d formula.DNF) {
+	w.ents.block(int(lid >> entBlockBits))[lid%entBlockSize].Store(&d)
+	w.mark(lid, false)
+}
 
 // NewWPCache returns an empty cache.
 func NewWPCache() *WPCache { return &WPCache{m: map[lang.Atom]*atomWP{}} }
@@ -220,67 +299,6 @@ func (c *WPCache) atom(a lang.Atom) *atomWP {
 	return aw
 }
 
-func (w *atomWP) get(lid uint32) (wpEntry, bool) {
-	bi := int(lid >> wpBlockBits)
-	if bp := w.blocks.Load(); bp != nil && bi < len(*bp) {
-		if b := (*bp)[bi].Load(); b != nil {
-			if e := b[lid&(wpBlockSize-1)].Load(); e != nil {
-				return *e, true
-			}
-		}
-	}
-	return wpEntry{}, false
-}
-
-func (w *atomWP) put(lid uint32, e wpEntry) {
-	bi := int(lid >> wpBlockBits)
-	for {
-		bp := w.blocks.Load()
-		if bp == nil || bi >= len(*bp) {
-			w.growDir(bi + 1)
-			continue
-		}
-		cell := (*bp)[bi]
-		b := cell.Load()
-		if b == nil {
-			nb := new(wpBlock)
-			if cell.CompareAndSwap(nil, nb) {
-				b = nb
-			} else {
-				b = cell.Load()
-			}
-		}
-		// Racing fills of the same slot store equal values, so last-write-
-		// wins is fine.
-		b[lid&(wpBlockSize-1)].Store(&e)
-		return
-	}
-}
-
-// growDir extends the block directory to cover at least n blocks. The old
-// directory's cells are carried over by pointer, so entries published through
-// them stay visible.
-func (w *atomWP) growDir(n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	old := w.blocks.Load()
-	if old != nil && len(*old) >= n {
-		return
-	}
-	if old != nil && 2*len(*old) > n {
-		n = 2 * len(*old)
-	}
-	nd := make([]*atomic.Pointer[wpBlock], n)
-	var copied int
-	if old != nil {
-		copied = copy(nd, *old)
-	}
-	for i := copied; i < n; i++ {
-		nd[i] = new(atomic.Pointer[wpBlock])
-	}
-	w.blocks.Store(&nd)
-}
-
 // wpLit applies the weakest precondition to a possibly negated literal.
 func (c *Client[D]) wpLit(a lang.Atom, l formula.Lit) formula.Formula {
 	f := c.WP(a, l.P)
@@ -290,28 +308,31 @@ func (c *Client[D]) wpLit(a lang.Atom, l formula.Lit) formula.Formula {
 	return f
 }
 
-type wpEntry struct {
-	identity bool // wp(l) = l: the common case, handled without DNF work
-	d        formula.DNF
-}
-
-// wpLitDNF returns the cached DNF of [a]♭(l), where lid is the literal's
-// interned ID in c.U and aw the atom's cache level. Cached DNFs are
-// complete: ToDNF is not budgeted, so a tripped budget never stores a
+// wpLitDNF returns the DNF of [a]♭(l), where lid is the literal's interned
+// ID in c.U and aw the atom's cache level, or identity = true (and no DNF)
+// when it is l itself. A syntactic identity (WP returned the literal
+// unchanged, as every client does for a primitive the atom does not touch)
+// is recorded without DNF conversion; other results are converted once, and
+// a DNF that is exactly [[lid]] is recorded as the identity too. Cached DNFs
+// are complete: ToDNF is not budgeted, so a tripped budget never stores a
 // truncated entry.
-func (c *Client[D]) wpLitDNF(aw *atomWP, a lang.Atom, lid uint32) wpEntry {
-	if e, ok := aw.get(lid); ok {
-		return e
+func (c *Client[D]) wpLitDNF(aw *atomWP, a lang.Atom, lid uint32) (d formula.DNF, identity bool) {
+	if d, identity, ok := aw.get(lid); ok {
+		return d, identity
 	}
+	c.Cache.litFills.Add(1)
 	l := c.U.Lit(lid)
-	d := formula.ToDNF(c.wpLit(a, l), c.U)
-	e := wpEntry{d: d}
-	if len(d) == 1 && len(d[0].IDs()) == 1 && d[0].IDs()[0] == lid {
-		e.identity = true
+	f := c.wpLit(a, l)
+	if !f.IsLit(l) {
+		d = formula.ToDNF(f, c.U)
+		if len(d) != 1 || len(d[0].IDs()) != 1 || d[0].IDs()[0] != lid {
+			aw.put(lid, d)
+			return d, false
+		}
 	}
-	aw.put(lid, e)
-	aw.mark(lid, e.identity)
-	return e
+	c.Cache.litIdentity.Add(1)
+	aw.mark(lid, true)
+	return nil, true
 }
 
 // wpDNF applies [a]♭ to a whole DNF formula, returning DNF directly and a
@@ -356,16 +377,8 @@ supScan:
 	}
 	if bounded {
 		unchanged := true
-		bm := aw.idbm.Load()
 		for _, lid := range sup[:ns] {
-			if known, ident := bm.has(lid); known {
-				if !ident {
-					unchanged = false
-					break
-				}
-				continue
-			}
-			if !c.wpLitDNF(aw, a, lid).identity {
+			if _, identity := c.wpLitDNF(aw, a, lid); !identity {
 				unchanged = false
 				break
 			}
@@ -409,8 +422,8 @@ supScan:
 		}
 		allID := true
 		for i, lid := range ids {
-			e := c.wpLitDNF(aw, a, lid)
-			if e.identity {
+			wp, ident := c.wpLitDNF(aw, a, lid)
+			if ident {
 				if wide {
 					identity[i] = true
 				} else {
@@ -418,7 +431,7 @@ supScan:
 				}
 			} else {
 				allID = false
-				subs = append(subs, e.d)
+				subs = append(subs, wp)
 			}
 		}
 		if allID && allIdentity {

@@ -247,3 +247,116 @@ func TestFlushUniverseObs(t *testing.T) {
 		t.Fatalf("second flush re-reported consumed deltas: %d != %d", got, before)
 	}
 }
+
+// cellPrim is an opaque primitive of the fill test's theory, which knows no
+// entailments or contradictions between distinct cells.
+type cellPrim struct{ I int }
+
+func (p cellPrim) Key() string    { return fmt.Sprintf("c%05d", p.I) }
+func (p cellPrim) String() string { return p.Key() }
+
+type cellTheory struct{}
+
+func (cellTheory) NegLit(formula.Lit) ([]formula.Lit, bool) { return nil, false }
+func (cellTheory) Implies(a, b formula.Lit) bool            { return a == b }
+func (cellTheory) Contradicts(a, b formula.Lit) bool        { return false }
+
+// TestWPCacheConcurrentFill is TestWPCacheConcurrent for the per-literal
+// fill path: 8 goroutines fill one cold cache, over literal IDs spanning
+// four flag blocks, each starting in a different block, so every atom's
+// flag and entry directories grow while other workers create blocks and set
+// flags. Every lookup must return what a sequential fill of a separate cache
+// returns, and every flag the sequential cache holds must be visible, with
+// the same value, in the concurrently filled one.
+func TestWPCacheConcurrentFill(t *testing.T) {
+	const (
+		nLits   = 2000 // four 512-literal flag blocks
+		nAtoms  = 24
+		workers = 8
+	)
+	u := formula.NewUniverse(cellTheory{})
+	for i := 0; i < nLits+2; i++ {
+		if id := u.LitID(formula.Lit{P: cellPrim{i}}); id != uint32(i) {
+			t.Fatalf("cell %d interned as %d", i, id)
+		}
+	}
+	atoms := make([]lang.Atom, nAtoms)
+	index := map[lang.Atom]int{}
+	for k := range atoms {
+		atoms[k] = lang.Move{Dst: fmt.Sprintf("v%d", k), Src: "w"}
+		index[atoms[k]] = k
+	}
+	// Most cells are the syntactic identity; every 89th is an identity that
+	// only its DNF reveals, and every 97th (shifted per atom) changes.
+	wp := func(a lang.Atom, p formula.Prim) formula.Formula {
+		i := p.(cellPrim).I
+		switch {
+		case (i+index[a])%97 == 0:
+			return formula.Or(formula.L(cellPrim{i + 1}), formula.L(cellPrim{i + 2}))
+		case i%89 == 0:
+			return formula.And(formula.L(p), formula.L(p))
+		}
+		return formula.L(p)
+	}
+	client := func(cache *meta.WPCache) *meta.Client[int] {
+		return &meta.Client[int]{WP: wp, U: u, Cache: cache}
+	}
+	show := func(d formula.DNF, identity bool) string {
+		if identity {
+			return "identity"
+		}
+		return d.String()
+	}
+
+	ref := meta.NewWPCache()
+	want := make([][]string, nAtoms)
+	for k, a := range atoms {
+		for lid := uint32(0); lid < nLits; lid++ {
+			want[k] = append(want[k], show(meta.WPLit(client(ref), a, lid)))
+		}
+	}
+	shared := meta.NewWPCache()
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := client(shared)
+			for k, a := range atoms {
+				for j := 0; j < nLits; j++ {
+					lid := uint32((w*nLits/workers + j) % nLits)
+					if got := show(meta.WPLit(c, a, lid)); got != want[k][lid] {
+						errs <- fmt.Errorf("worker %d atom %d lit %d: concurrent %s, sequential %s", w, k, lid, got, want[k][lid])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	var flags, identities int
+	ref.EachLitFlag(func(a lang.Atom, lid uint32, identity, _ bool) {
+		flags++
+		if identity {
+			identities++
+		}
+		if filled, got := shared.LitFlag(a, lid); !filled || got != identity {
+			t.Errorf("atom %s lit %d: shared flag (filled %v, identity %v), sequential identity %v",
+				a, lid, filled, got, identity)
+		}
+	})
+	if flags != nAtoms*nLits || identities == flags {
+		t.Fatalf("sequential cache holds %d flags (%d identities), want %d with some changes", flags, identities, nAtoms*nLits)
+	}
+	shared.EachLitFlag(func(a lang.Atom, lid uint32, identity, hasEntry bool) {
+		if identity == hasEntry {
+			t.Errorf("atom %s lit %d: identity %v but entry present %v", a, lid, identity, hasEntry)
+		}
+	})
+}
