@@ -15,9 +15,11 @@
 //	-addr :8791            listen address (use :0 for an ephemeral port; the
 //	                       bound address is printed as "tracerd: listening on
 //	                       <addr>", which scripts parse)
-//	-batch-size 8          coalescing group size that fires a round
-//	-max-wait 15ms         max wait before a partial group fires anyway
-//	-queue-limit 256       accept-queue bound; beyond it requests get 429
+//	-batch-size 8          cap on a coalescing group; a group fires as soon
+//	                       as an executor is idle, so requests coalesce only
+//	                       while every executor is busy
+//	-queue-limit 256       bound on the accept queue and on the requests held
+//	                       while every executor is busy; beyond it 429
 //	-max-batches 4         concurrent batch rounds (executor pool size)
 //	-max-request-bytes N   request body cap (default 1MiB); larger bodies 400
 //	-default-timeout 5s    per-request budget when the request names none
@@ -68,9 +70,8 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8791", "listen address")
-	batchSize := flag.Int("batch-size", 8, "coalescing group size that fires a batch round")
-	maxWait := flag.Duration("max-wait", 15*time.Millisecond, "max wait before a partial group fires")
-	queueLimit := flag.Int("queue-limit", 256, "accept-queue bound (beyond it: 429)")
+	batchSize := flag.Int("batch-size", 8, "cap on a coalescing group's size")
+	queueLimit := flag.Int("queue-limit", 256, "bound on queued and on held requests (beyond it: 429)")
 	maxBatches := flag.Int("max-batches", 4, "concurrent batch rounds")
 	maxReqBytes := flag.Int64("max-request-bytes", 1<<20, "request body size cap")
 	defTimeout := flag.Duration("default-timeout", 5*time.Second, "per-request budget when unspecified")
@@ -117,7 +118,6 @@ func run() error {
 
 	srv := server.New(server.Config{
 		BatchSize:            *batchSize,
-		MaxWait:              *maxWait,
 		QueueLimit:           *queueLimit,
 		MaxConcurrentBatches: *maxBatches,
 		MaxRequestBytes:      *maxReqBytes,

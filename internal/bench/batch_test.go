@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"tracer/internal/core"
+	"tracer/internal/driver"
 )
 
 // TestBatchMatchesIndividual: the §6 query-grouping driver must resolve
@@ -42,5 +44,38 @@ func TestBatchMatchesIndividual(t *testing.T) {
 		}
 		t.Logf("%-13s batch forward runs %d vs individual iterations %d (groups: %d)",
 			cl, batch.Stats.ForwardRuns, totalIndividualIters, batch.Stats.TotalGroups)
+	}
+}
+
+// TestOneQueryBatchDonatesEveryRun: a one-query batch — tracerd's round on
+// an idle server — can never hit its forward memo exactly, so every run
+// after the first must resume the previous one, as the single-query job
+// chain does, and resolve exactly as the batch without delta resumption.
+func TestOneQueryBatchDonatesEveryRun(t *testing.T) {
+	b := MustLoad(Suite()[0]) // tsp
+	for _, spec := range driver.Clients() {
+		for i, q := range spec.Queries(b.Prog) {
+			solve := func(noDelta bool) *core.BatchResult {
+				res, err := core.SolveBatch(spec.Batch(b.Prog, []int{i}, 5),
+					core.Options{MaxIters: 300, NoDelta: noDelta})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			got, want := solve(false), solve(true)
+			label := spec.Name + " " + q.ID
+			r := got.Results[0]
+			if got.Stats.FwdCacheHits != 0 {
+				t.Errorf("%s: %d forward memo hits, want 0", label, got.Stats.FwdCacheHits)
+			}
+			if got.Stats.DeltaResumes != r.Iterations-1 {
+				t.Errorf("%s: %d delta resumes over %d iterations, want %d",
+					label, got.Stats.DeltaResumes, r.Iterations, r.Iterations-1)
+			}
+			if !reflect.DeepEqual(r, want.Results[0]) {
+				t.Errorf("%s: result %+v, without delta %+v", label, r, want.Results[0])
+			}
+		}
 	}
 }

@@ -309,7 +309,6 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 		}
 		addTo(s, q)
 	}
-	cache := newFwdCache(opts.fwdCacheSize())
 	ordinal := 0 // global group-iteration counter
 	// Donor-seeded resumption: on a memo miss, a DeltaBatchProblem's fresh
 	// run may resume a consumed memo entry whose abstraction is within
@@ -321,7 +320,16 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 	if opts.NoDelta {
 		dbp = nil
 	}
-	const maxFlip = 2
+	cacheSize, maxFlip := opts.fwdCacheSize(), 2
+	if n == 1 && cacheSize > 0 {
+		// A one-query batch never hits the memo exactly: its clauses block
+		// every abstraction it has checked. The memo only supplies donors,
+		// so keep the last run alone and let it always donate, as Solve's
+		// job chain does; the chain's own rule picks between replaying the
+		// retained run and clearing it.
+		cacheSize, maxFlip = 1, bp.NumParams()
+	}
+	cache := newFwdCache(cacheSize)
 
 	for len(groups) > 0 {
 		res.Stats.Rounds++

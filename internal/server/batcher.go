@@ -16,94 +16,85 @@ import (
 )
 
 // The batcher turns the admitted request stream into coalesced
-// core.SolveBatch rounds. A single dispatcher goroutine groups requests by
-// their compatibility key (program content hash, client, k, iteration cap,
-// timeout) and fires a group as one batch when it reaches BatchSize or its
-// oldest member has waited MaxWait; a small executor pool runs the fired
-// batches. Backpressure is a chain of bounded stages: executors busy → the
-// exec channel fills → the dispatcher blocks → the accept queue fills → the
-// handler sheds load with 429s. Nothing in the chain blocks unboundedly with
-// a request's response channel unserved: every admitted request receives
-// exactly one SolveResponse, whatever degrades along the way.
+// core.SolveBatch rounds. A single dispatcher goroutine keeps the pending
+// groups in arrival order and offers the oldest one to the executor pool over
+// an unbuffered channel, so a group fires the moment an executor is idle.
+// While every executor is busy, arrivals join the newest group of their
+// compatibility key (program content hash, client, k, iteration cap,
+// timeout) until it holds BatchSize requests; requests therefore coalesce
+// exactly when they would have had to wait anyway, and an idle server never
+// holds a request back. Backpressure is a chain of bounded stages: executors
+// busy → the dispatcher holds up to QueueLimit requests and stops reading →
+// the accept queue fills → the handler sheds load with 429s. Nothing in the
+// chain blocks unboundedly with a request's response channel unserved: every
+// admitted request receives exactly one SolveResponse, whatever degrades
+// along the way.
 
-// pendingBatch accumulates compatible requests awaiting a fire trigger.
+// pendingBatch is one group of compatible requests awaiting an executor.
 type pendingBatch struct {
-	reqs   []*request
-	oldest time.Time
+	reqs []*request
 }
 
-// dispatch is the batcher's single grouping goroutine.
+// dispatch is the batcher's single grouping goroutine. queued counts the
+// requests in the accept queue plus the held ones, which leave it only when
+// their group fires.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
-	pending := map[string]*pendingBatch{}
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+	var fifo []*pendingBatch           // pending groups, oldest first
+	open := map[string]*pendingBatch{} // per compat key, the group still taking members
+	held := 0
+	add := func(req *request) {
+		pb := open[req.compat]
+		if pb == nil {
+			pb = &pendingBatch{}
+			fifo = append(fifo, pb)
+			open[req.compat] = pb
+		}
+		pb.reqs = append(pb.reqs, req)
+		if len(pb.reqs) >= s.cfg.BatchSize {
+			delete(open, req.compat)
+		}
+		held++
+	}
+	fired := func() {
+		pb := fifo[0]
+		fifo[0] = nil
+		fifo = fifo[1:]
+		if c := pb.reqs[0].compat; open[c] == pb {
+			delete(open, c)
+		}
+		held -= len(pb.reqs)
+		s.queued.Add(-int64(len(pb.reqs)))
 	}
 	for {
-		var timerC <-chan time.Time
-		if len(pending) > 0 {
-			next := time.Duration(1<<63 - 1)
-			for _, pb := range pending {
-				if d := time.Until(pb.oldest.Add(s.cfg.MaxWait)); d < next {
-					next = d
-				}
-			}
-			if next < 0 {
-				next = 0
-			}
-			timer.Reset(next)
-			timerC = timer.C
+		in := s.in
+		if held >= s.cfg.QueueLimit {
+			in = nil
+		}
+		var exec chan<- []*request
+		var head []*request
+		if len(fifo) > 0 {
+			exec, head = s.execCh, fifo[0].reqs
 		}
 		select {
-		case req := <-s.in:
-			s.queued.Add(-1)
-			s.addPending(pending, req)
-		case <-timerC:
-			now := time.Now()
-			for key, pb := range pending {
-				if now.Sub(pb.oldest) >= s.cfg.MaxWait {
-					delete(pending, key)
-					s.execCh <- pb.reqs
-				}
-			}
+		case req := <-in:
+			add(req)
+		case exec <- head:
+			fired()
 		case <-s.quiesce:
 			// Graceful drain: absorb every request already admitted (the
-			// accept gate is closed, so queued only decreases), fire all
-			// pending groups, and let the executors finish.
-			for s.queued.Load() > 0 {
-				req := <-s.in
-				s.queued.Add(-1)
-				s.addPending(pending, req)
+			// accept gate is closed, so nothing new enters the queue), fire
+			// all pending groups, and let the executors finish.
+			for s.queued.Load() > int64(held) {
+				add(<-s.in)
 			}
-			for key, pb := range pending {
-				delete(pending, key)
-				s.execCh <- pb.reqs
+			for len(fifo) > 0 {
+				s.execCh <- fifo[0].reqs
+				fired()
 			}
 			close(s.execCh)
 			return
 		}
-		if timerC != nil && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-}
-
-// addPending files one request under its compatibility key, firing the group
-// when it fills.
-func (s *Server) addPending(pending map[string]*pendingBatch, req *request) {
-	pb := pending[req.compat]
-	if pb == nil {
-		pb = &pendingBatch{oldest: time.Now()}
-		pending[req.compat] = pb
-	}
-	pb.reqs = append(pb.reqs, req)
-	if len(pb.reqs) >= s.cfg.BatchSize || s.cfg.MaxWait <= 0 {
-		delete(pending, req.compat)
-		s.execCh <- pb.reqs
 	}
 }
 

@@ -39,15 +39,12 @@ import (
 // Config carries the daemon's admission and solving knobs. Zero values get
 // production defaults from New.
 type Config struct {
-	// BatchSize fires a coalescing group when it reaches this many requests
-	// (default 8).
+	// BatchSize caps a coalescing group (default 8): a full group takes no
+	// more members and fires as soon as an executor is idle, like any other.
 	BatchSize int
-	// MaxWait bounds how long the oldest request of a group waits before the
-	// group fires anyway (zero takes the 15ms default). Negative disables
-	// coalescing: every request fires its own round immediately.
-	MaxWait time.Duration
-	// QueueLimit bounds the accept queue; arrivals beyond it get 429
-	// (default 256).
+	// QueueLimit bounds both the accept queue and the requests the
+	// dispatcher holds while every executor is busy; arrivals beyond them
+	// get 429 (default 256).
 	QueueLimit int
 	// MaxConcurrentBatches bounds the executor pool (default 4).
 	MaxConcurrentBatches int
@@ -83,9 +80,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 8
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 15 * time.Millisecond
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 256
@@ -175,10 +169,12 @@ type Stats struct {
 	ExpiredInQueue     int64 `json:"expired_in_queue"`
 	Batches            int64 `json:"batches"`
 	WarmSaveErrors     int64 `json:"warm_save_errors"`
-	Queued             int64 `json:"queued"`
-	InflightBatches    int64 `json:"inflight_batches"`
-	Draining           bool  `json:"draining"`
-	EWMABatchMS        int64 `json:"ewma_batch_ms"`
+	// Queued counts admitted requests not yet in a round: queued for the
+	// dispatcher or held by it while every executor is busy.
+	Queued          int64 `json:"queued"`
+	InflightBatches int64 `json:"inflight_batches"`
+	Draining        bool  `json:"draining"`
+	EWMABatchMS     int64 `json:"ewma_batch_ms"`
 }
 
 // New builds and starts a Server: the dispatcher and executor pool run until
@@ -195,7 +191,7 @@ func New(cfg Config) *Server {
 		warm:           warm.Open(cfg.WarmDir, cfg.Recorder),
 		in:             make(chan *request, cfg.QueueLimit),
 		quiesce:        make(chan struct{}),
-		execCh:         make(chan []*request, 1),
+		execCh:         make(chan []*request),
 		dispatcherDone: make(chan struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -376,13 +372,10 @@ func rejectCounter(reason string) string {
 }
 
 // retryAfterMS prices a Retry-After from the EWMA batch wall scaled by the
-// current load (queued rounds ahead plus rounds in flight), clamped to a
-// sane range.
+// current load (queued and held rounds ahead plus rounds in flight), clamped
+// to a sane range.
 func (s *Server) retryAfterMS() int64 {
 	base := s.ewmaBatchNS.Load()
-	if min := int64(s.cfg.MaxWait); base < min {
-		base = min
-	}
 	factor := s.queued.Load()/int64(s.cfg.BatchSize) + s.inflight.Load() + 1
 	ms := base * factor / int64(time.Millisecond)
 	if ms < 100 {

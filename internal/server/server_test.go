@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -176,9 +177,23 @@ func TestQuerySelectors(t *testing.T) {
 	}
 }
 
-// TestCoalescing: compatible concurrent requests share one batch round.
+// TestCoalescing: compatible requests that arrive while every executor is
+// busy share one batch round.
 func TestCoalescing(t *testing.T) {
-	_, hs := newTestServer(t, Config{BatchSize: 4, MaxWait: 200 * time.Millisecond})
+	inj := faultinject.New()
+	inj.DelayAt(faultinject.SiteServerBatch, "b0", 300*time.Millisecond)
+	s, hs := newTestServer(t, Config{BatchSize: 4, MaxConcurrentBatches: 1, Inject: inj})
+	req := SolveRequest{Program: fixtureSrc, Client: "escape", Query: "#0"}
+	blocker := make(chan SolveResponse, 1)
+	go func() { blocker <- solve(t, hs.URL, req) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Snapshot().InflightBatches == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocking request never reached a batch round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	var wg sync.WaitGroup
 	resps := make([]SolveResponse, 4)
 	for i := 0; i < 4; i++ {
@@ -187,17 +202,19 @@ func TestCoalescing(t *testing.T) {
 			defer wg.Done()
 			// Identical queries coalesce too — each request keeps its own
 			// batch slot and response.
-			resps[i] = solve(t, hs.URL, SolveRequest{
-				Program: fixtureSrc, Client: "escape", Query: "#0",
-			})
+			resps[i] = solve(t, hs.URL, req)
 		}(i)
 	}
 	wg.Wait()
+	if b := (<-blocker).Batch; b.ID != "b0" || b.Size != 1 {
+		t.Errorf("blocking request batch %+v, want b0 of size 1", b)
+	}
 	batches := map[string]int{}
 	for _, r := range resps {
 		batches[r.Batch.ID]++
 	}
-	// All four arrive well inside MaxWait, so they fire as one full batch.
+	// All four arrive while b0 holds the only executor, so they fire as one
+	// full batch once it frees.
 	if len(batches) != 1 {
 		t.Fatalf("requests spread over %d batches (%v), want 1", len(batches), batches)
 	}
@@ -205,6 +222,22 @@ func TestCoalescing(t *testing.T) {
 		if !r.Batch.Coalesced || r.Batch.Size != 4 {
 			t.Errorf("batch info %+v, want coalesced size 4", r.Batch)
 		}
+	}
+}
+
+// TestIdleServerDoesNotWait: a lone request on an idle server fires at once
+// instead of waiting for company, so the median queue time of sequential
+// lone requests stays under 15ms.
+func TestIdleServerDoesNotWait(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	queue := make([]time.Duration, 10)
+	for i := range queue {
+		r := solve(t, hs.URL, SolveRequest{Program: fixtureSrc, Client: "escape", Query: "#0"})
+		queue[i] = time.Duration(r.Timing.QueueNS)
+	}
+	slices.Sort(queue)
+	if med := queue[len(queue)/2]; med >= 15*time.Millisecond {
+		t.Errorf("median queue time %v of lone requests (all: %v), want under 15ms", med, queue)
 	}
 }
 
@@ -217,7 +250,6 @@ func TestQueueFullSheds(t *testing.T) {
 		inj.DelayAt(faultinject.SiteServerBatch, fmt.Sprintf("b%d", i), 300*time.Millisecond)
 	}
 	_, hs := newTestServer(t, Config{
-		MaxWait:              -1, // fire every request immediately
 		QueueLimit:           1,
 		MaxConcurrentBatches: 1,
 		Inject:               inj,
