@@ -9,6 +9,7 @@ package driver
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,9 +43,18 @@ type front struct {
 	// *client.Spec; safe for concurrent use.
 	queries sync.Map
 
-	stmtKeysOnce, siteOwnerOnce sync.Once
-	stmtKeysMemo                map[ir.Stmt]string
-	siteOwnerMemo               map[string]string
+	stmtKeysOnce, siteOwnerOnce, methodEnvOnce sync.Once
+	stmtKeysMemo                               map[ir.Stmt]string
+	siteOwnerMemo                              map[string]string
+	methodEnvMemo                              map[string]*methodEnv
+}
+
+// methodEnv is one method's share of EnvHash's input, serialized once per
+// program: its qualified variables in sorted order, each followed by its
+// sorted may-point-to site labels.
+type methodEnv struct {
+	prefix string // "<QualName>::", which orders the methods as their variables sort
+	data   []byte
 }
 
 // occurrence is one lowered occurrence of an application statement that
@@ -231,36 +241,54 @@ func (f *front) SiteOwner(h string) string {
 // counterexample trace through those methods remains valid only while this
 // hash is unchanged — the trace's call branches were selected by exactly
 // these points-to sets. Labels (not interned IDs) are hashed so the result
-// is comparable across separately-loaded programs.
+// is comparable across separately-loaded programs. Each method's share is
+// serialized on first use, so a call hashes the listed methods' bytes
+// without scanning, sorting or rendering any points-to set.
 func (f *front) EnvHash(methods []string) uint64 {
-	want := make(map[string]bool, len(methods))
-	for _, m := range methods {
-		want[m] = true
-	}
-	var qvs []string
-	for qv := range f.varPts {
-		if i := strings.Index(qv, "::"); i >= 0 && want[qv[:i]] {
-			qvs = append(qvs, qv)
+	f.methodEnvOnce.Do(f.indexMethodEnv)
+	envs := make([]*methodEnv, 0, len(methods))
+	for i, m := range methods {
+		if e := f.methodEnvMemo[m]; e != nil && !slices.Contains(methods[:i], m) {
+			envs = append(envs, e)
 		}
 	}
-	sort.Strings(qvs)
+	// The variables of one method are contiguous in sorted order, since an
+	// owner is everything before a variable's first "::".
+	sort.Slice(envs, func(i, j int) bool { return envs[i].prefix < envs[j].prefix })
 	h := fnv.New64a()
-	var labels []string
-	for _, qv := range qvs {
-		h.Write([]byte(qv))
-		h.Write([]byte{0})
-		labels = labels[:0]
-		for _, id := range f.varPts[qv].Elems() {
-			labels = append(labels, f.PT.Sites.Value(id))
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
-			h.Write([]byte(l))
-			h.Write([]byte{1})
-		}
-		h.Write([]byte{2})
+	for _, e := range envs {
+		h.Write(e.data)
 	}
 	return h.Sum64()
+}
+
+// indexMethodEnv serializes every method's share of EnvHash's input.
+func (f *front) indexMethodEnv() {
+	byOwner := map[string][]string{}
+	for qv := range f.varPts {
+		if i := strings.Index(qv, "::"); i >= 0 {
+			byOwner[qv[:i]] = append(byOwner[qv[:i]], qv)
+		}
+	}
+	f.methodEnvMemo = make(map[string]*methodEnv, len(byOwner))
+	var labels []string
+	for m, qvs := range byOwner {
+		sort.Strings(qvs)
+		var data []byte
+		for _, qv := range qvs {
+			data = append(append(data, qv...), 0)
+			labels = labels[:0]
+			for _, id := range f.varPts[qv].Elems() {
+				labels = append(labels, f.PT.Sites.Value(id))
+			}
+			sort.Strings(labels)
+			for _, l := range labels {
+				data = append(append(data, l...), 1)
+			}
+			data = append(data, 2)
+		}
+		f.methodEnvMemo[m] = &methodEnv{prefix: m + "::", data: data}
+	}
 }
 
 // IsApp reports whether a method belongs to application code.

@@ -119,8 +119,11 @@ const (
 // counts queries that found a usable stored entry; ClausesLoaded/Invalidated
 // count per-clause survival of the IR delta check; ReplayExhausted counts
 // stored Exhausted verdicts returned without re-solving (exact
-// fingerprint+budget match only); EntriesCorrupt counts snapshot files or
-// entries dropped as unreadable (the cold-fallback path).
+// fingerprint+budget match only); EntriesCorrupt counts the session
+// client's snapshot files dropped as unreadable (the cold-fallback path).
+// WarmLoad and WarmSave are timers: one observation per session opened
+// (header reads, the chosen body's decode, and the delta filter) and per
+// session saved.
 const (
 	CoreWarmSeededClauses  = "core.warm_seeded_clauses"
 	WarmQueryHit           = "warm.query_hit"
@@ -130,6 +133,8 @@ const (
 	WarmReplayExhausted    = "warm.replay_exhausted"
 	WarmEntriesCorrupt     = "warm.entries_corrupt"
 	WarmSnapshots          = "warm.snapshots"
+	WarmLoad               = "warm.load"
+	WarmSave               = "warm.save"
 )
 
 // Counter/gauge/timer names recorded by the solver daemon (internal/server).

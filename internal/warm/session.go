@@ -111,31 +111,70 @@ func (st *Store) Session(p *driver.Program, conf Config) *Session {
 func (s *Session) Exact() bool { return s.exact }
 
 // load picks the nearest compatible snapshot and installs its surviving
-// entries.
+// entries. Candidates are ranked on their header lines; only the winner's
+// body is decoded, and an unreadable body falls back to the next candidate.
 func (s *Session) load() {
 	if !s.st.Enabled() {
 		return
 	}
-	var best *snapshotFile
-	var bestTouched map[string]bool
-	snaps := s.readCandidates()
-	s.st.count(obs.WarmSnapshots, int64(len(snaps)))
-	for _, sf := range snaps {
-		if sf.Whole == hex64(s.fp.Whole) {
-			best, bestTouched, s.exact = sf, nil, true
-			break
+	defer s.st.since(obs.WarmLoad, time.Now())
+	ranked := s.rankCandidates()
+	s.st.count(obs.WarmSnapshots, int64(len(ranked)))
+	for _, r := range ranked {
+		queries, err := s.st.readBody(r.candidate)
+		if err != nil {
+			s.st.count(obs.WarmEntriesCorrupt, 1)
+			continue
 		}
-		touched := s.touchedMethods(sf)
-		if best == nil || len(touched) < len(bestTouched) {
-			best, bestTouched = sf, touched
-		}
-	}
-	if best == nil {
+		s.exact = r.touched == nil
+		s.install(queries, r.touched)
 		return
 	}
+}
+
+// rankedCandidate is a candidate with the methods the edit touched since it
+// was written; touched == nil marks a byte-exact program match.
+type rankedCandidate struct {
+	candidate
+	touched map[string]bool
+}
+
+// rankCandidates returns the stored snapshots this session may reuse — same
+// client, same config signature, same declaration shape (soundness
+// conditions 1 and 4) — nearest first: an exact program match, then fewest
+// touched methods, ties in file-name order.
+func (s *Session) rankCandidates() []rankedCandidate {
+	var out []rankedCandidate
+	for _, c := range s.st.candidates(string(s.conf.Client), s.confSig) {
+		h := &c.head
+		if h.Client != string(s.conf.Client) || h.Conf != s.confSig || h.Shape != hex64(s.fp.Shape) {
+			continue
+		}
+		r := rankedCandidate{candidate: c}
+		if h.Whole != hex64(s.fp.Whole) {
+			r.touched = s.touchedMethods(h)
+		}
+		out = append(out, r)
+	}
+	rank := func(r rankedCandidate) int {
+		if r.touched == nil {
+			return -1
+		}
+		return len(r.touched)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return rank(out[i]) < rank(out[j]) })
+	return out
+}
+
+// install filters the stored entries through the delta rules and keeps the
+// survivors.
+func (s *Session) install(queries map[string]*queryEntry, touched map[string]bool) {
 	var loaded, invalidated int64
-	for key, e := range best.Queries {
-		kept := s.surviveEntry(e, bestTouched)
+	for key, e := range queries {
+		if e == nil {
+			continue
+		}
+		kept := s.surviveEntry(e, touched)
 		loaded += int64(len(kept.Clauses))
 		invalidated += int64(len(e.Clauses) - len(kept.Clauses))
 		if kept.Status == "" && len(kept.Clauses) == 0 {
@@ -152,30 +191,16 @@ func (s *Session) load() {
 	s.st.count(obs.WarmClausesInvalidated, invalidated)
 }
 
-// readCandidates returns the stored snapshots this session may reuse: same
-// client, same config signature, same declaration shape (soundness
-// conditions 1 and 4).
-func (s *Session) readCandidates() []*snapshotFile {
-	var out []*snapshotFile
-	for _, sf := range s.st.readSnapshots() {
-		if sf.Client == string(s.conf.Client) && sf.Conf == s.confSig &&
-			sf.Shape == hex64(s.fp.Shape) {
-			out = append(out, sf)
-		}
-	}
-	return out
-}
-
 // touchedMethods lists the methods whose stored body fingerprint differs
 // from the current program's.
-func (s *Session) touchedMethods(sf *snapshotFile) map[string]bool {
+func (s *Session) touchedMethods(h *snapshotHeader) map[string]bool {
 	touched := map[string]bool{}
 	for name, fp := range s.fp.Methods {
-		if sf.Methods[name] != hex64(fp) {
+		if h.Methods[name] != hex64(fp) {
 			touched[name] = true
 		}
 	}
-	for name := range sf.Methods {
+	for name := range h.Methods {
 		if _, ok := s.fp.Methods[name]; !ok {
 			touched[name] = true
 		}
@@ -390,6 +415,7 @@ func (s *Session) Save() error {
 	if !s.st.Enabled() {
 		return nil
 	}
+	defer s.st.since(obs.WarmSave, time.Now())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.entries) == 0 {
@@ -399,16 +425,15 @@ func (s *Session) Save() error {
 	for name, fp := range s.fp.Methods {
 		methods[name] = hex64(fp)
 	}
-	sf := &snapshotFile{
+	h := &snapshotHeader{
 		Version: Version,
 		Whole:   hex64(s.fp.Whole),
 		Shape:   hex64(s.fp.Shape),
 		Methods: methods,
 		Client:  string(s.conf.Client),
 		Conf:    s.confSig,
-		Queries: s.entries,
 	}
-	return s.st.writeSnapshot(sf)
+	return s.st.writeSnapshot(s.fp.Whole, h, s.entries)
 }
 
 // supportMethods extracts the QualNames of the methods supporting a trace:

@@ -40,6 +40,19 @@
 // stored iteration cap and timeout equal the current ones — re-burning a
 // full timeout per already-known-hopeless query would erase the warm win.
 //
+// # Layout
+//
+// A snapshot file is named <whole>-<client>-<fnv(conf)>.json and holds two
+// lines of compact JSON (schema Version 2): a header line with the schema
+// version, the program's whole and shape fingerprints, its per-method body
+// fingerprints, the client and the config signature; then the body, which
+// maps each query key to its stored entry. A session lists the candidate
+// files of its client and configuration by file name, ranks them on their
+// header lines alone, and decodes one body: the nearest snapshot's, or,
+// when that one is unreadable, the next-nearest's. Other clients' files are
+// never opened. Files of other versions, version 1's single indented object
+// included, are skipped.
+//
 // Everything read from disk is untrusted: unparseable files, version
 // mismatches, unknown statuses, and unknown parameter names degrade to a
 // cold solve (counted on warm.entries_corrupt / warm.clauses_invalidated),
@@ -47,19 +60,22 @@
 package warm
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"tracer/internal/obs"
 )
 
 // Version is the snapshot schema version; files with any other version are
 // ignored (cold fallback), never migrated.
-const Version = 1
+const Version = 2
 
 // Store is a handle on a warm-start directory. The zero value (and any Open
 // failure) is a disabled store whose Sessions are all-cold no-ops.
@@ -70,7 +86,7 @@ type Store struct {
 
 // Open returns a store rooted at dir, creating it if needed. Open never
 // fails hard: on error the returned store is disabled and every session
-// behaves cold. rec (nil ok) receives the warm.* counters.
+// behaves cold. rec (nil ok) receives the warm.* counters and timers.
 func Open(dir string, rec obs.Recorder) *Store {
 	st := &Store{rec: rec}
 	if dir == "" {
@@ -92,8 +108,18 @@ func (st *Store) count(name string, n int64) {
 	}
 }
 
-// snapshotFile is the on-disk schema: one solved program × client × config.
-type snapshotFile struct {
+// since records the time elapsed from start on the named timer.
+func (st *Store) since(name string, start time.Time) {
+	if st != nil && st.rec != nil {
+		st.rec.Timing(name, time.Since(start))
+	}
+}
+
+// snapshotHeader is the first line of a snapshot file: everything a session
+// needs to decide whether, and how closely, the snapshot fits its program.
+// The second line, the body, maps each position-independent query key to
+// its entry.
+type snapshotHeader struct {
 	Version int    `json:"version"`
 	Whole   string `json:"whole"` // hex ir.ProgramFP.Whole
 	Shape   string `json:"shape"` // hex ir.ProgramFP.Shape
@@ -101,8 +127,6 @@ type snapshotFile struct {
 	Methods map[string]string `json:"methods"`
 	Client  string            `json:"client"`
 	Conf    string            `json:"conf"` // client config signature
-	// Queries maps the position-independent query key → entry.
-	Queries map[string]*queryEntry `json:"queries"`
 }
 
 // queryEntry is one query's persisted outcome.
@@ -140,8 +164,13 @@ func hex64(v uint64) string { return fmt.Sprintf("%016x", v) }
 
 // snapshotPath names the file for one (program, client, conf) snapshot.
 func (st *Store) snapshotPath(whole uint64, client, conf string) string {
-	h := fnvString(conf)
-	return filepath.Join(st.dir, fmt.Sprintf("%s-%s-%08x.json", hex64(whole), client, h))
+	return filepath.Join(st.dir, fmt.Sprintf("%s-%s-%08x.json", hex64(whole), client, fnvString(conf)))
+}
+
+// clientPattern globs every snapshot file of one client+conf, whatever its
+// program fingerprint.
+func (st *Store) clientPattern(client, conf string) string {
+	return filepath.Join(st.dir, fmt.Sprintf("*-%s-%08x.json", client, fnvString(conf)))
 }
 
 func fnvString(s string) uint32 {
@@ -154,46 +183,88 @@ func fnvString(s string) uint32 {
 	return h
 }
 
-// readSnapshots parses every snapshot file of the directory, silently
-// skipping (and counting) anything unreadable or mismatched in version.
-func (st *Store) readSnapshots() []*snapshotFile {
+// candidate is a snapshot file known by its header line alone.
+type candidate struct {
+	path string
+	line []byte // the header line as read, newline included
+	head snapshotHeader
+}
+
+// candidates reads the header line of every snapshot file named for client
+// under conf, in file-name order, skipping (and counting) the files whose
+// header is unreadable or of another version. No body is read, and no file
+// of another client or configuration is opened.
+func (st *Store) candidates(client, conf string) []candidate {
 	if !st.Enabled() {
 		return nil
 	}
-	names, err := filepath.Glob(filepath.Join(st.dir, "*.json"))
+	names, err := filepath.Glob(st.clientPattern(client, conf))
 	if err != nil {
 		return nil
 	}
 	sort.Strings(names)
-	var out []*snapshotFile
+	var out []candidate
 	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
+		c := candidate{path: name}
+		var err error
+		if c.line, err = readHeaderLine(name); err == nil {
+			err = json.Unmarshal(c.line, &c.head)
+		}
+		if err != nil || c.head.Version != Version {
 			st.count(obs.WarmEntriesCorrupt, 1)
 			continue
 		}
-		var sf snapshotFile
-		if err := json.Unmarshal(data, &sf); err != nil || sf.Version != Version {
-			st.count(obs.WarmEntriesCorrupt, 1)
-			continue
-		}
-		out = append(out, &sf)
+		out = append(out, c)
 	}
 	return out
 }
 
-// writeSnapshot atomically persists sf and prunes stale snapshots of the
-// same client+conf beyond a small budget (oldest fingerprints first by
+// readHeaderLine reads a file up to and including its first newline.
+func readHeaderLine(name string) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return bufio.NewReader(f).ReadBytes('\n')
+}
+
+// readBody decodes the queries of a candidate. The file must still begin
+// with the header line the candidate was ranked by: a file replaced since
+// (by a concurrent writer) is inconsistent, like a truncated one.
+func (st *Store) readBody(c candidate) (map[string]*queryEntry, error) {
+	data, err := os.ReadFile(c.path)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.HasPrefix(data, c.line) {
+		return nil, fmt.Errorf("%s: header changed since it was read", c.path)
+	}
+	var queries map[string]*queryEntry
+	if err := json.Unmarshal(data[len(c.line):], &queries); err != nil {
+		return nil, err
+	}
+	return queries, nil
+}
+
+// writeSnapshot atomically persists a snapshot — the compact header line,
+// then the compact queries body — and prunes stale snapshots of the same
+// client+conf beyond a small budget (oldest fingerprints first by
 // modification time), so edit chains do not grow the directory unboundedly.
-func (st *Store) writeSnapshot(sf *snapshotFile) error {
+func (st *Store) writeSnapshot(whole uint64, h *snapshotHeader, queries map[string]*queryEntry) error {
 	if !st.Enabled() {
 		return nil
 	}
-	data, err := json.MarshalIndent(sf, "", " ")
+	head, err := json.Marshal(h)
 	if err != nil {
 		return err
 	}
-	path := st.snapshotPath(mustHex(sf.Whole), sf.Client, sf.Conf)
+	body, err := json.Marshal(queries)
+	if err != nil {
+		return err
+	}
+	data := append(append(head, '\n'), append(body, '\n')...)
+	path := st.snapshotPath(whole, h.Client, h.Conf)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -201,7 +272,7 @@ func (st *Store) writeSnapshot(sf *snapshotFile) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	st.prune(sf.Client, sf.Conf, path)
+	st.prune(h.Client, h.Conf, path)
 	return nil
 }
 
@@ -209,8 +280,7 @@ func (st *Store) writeSnapshot(sf *snapshotFile) error {
 const maxSnapshots = 16
 
 func (st *Store) prune(client, conf string, keep string) {
-	pattern := filepath.Join(st.dir, fmt.Sprintf("*-%s-%08x.json", client, fnvString(conf)))
-	names, err := filepath.Glob(pattern)
+	names, err := filepath.Glob(st.clientPattern(client, conf))
 	if err != nil || len(names) <= maxSnapshots {
 		return
 	}
@@ -238,10 +308,4 @@ func (st *Store) prune(client, conf string, keep string) {
 	for i := 0; i+maxSnapshots <= len(files); i++ {
 		os.Remove(files[i].name)
 	}
-}
-
-func mustHex(s string) uint64 {
-	var v uint64
-	fmt.Sscanf(s, "%x", &v)
-	return v
 }

@@ -1,14 +1,20 @@
 package warm
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"tracer/internal/core"
 	"tracer/internal/driver"
+	"tracer/internal/ir"
 	"tracer/internal/lang"
+	"tracer/internal/obs"
 	"tracer/internal/uset"
 )
 
@@ -111,6 +117,23 @@ class Helper {
   }
 }
 `
+
+// progIdle extends progBase with a call, after every other statement of
+// main, to a method that no other query's trace passes through;
+// progIdleEdit edits that method's body without changing any points-to set
+// outside it, so the clauses not supported by Other.idle survive the edit.
+var progIdle = strings.Replace(strings.Replace(progBase, "var a, b, t\n", "var a, b, t, o\n", 1),
+	"    a.f = t\n", "    a.f = t\n    o = new Other @ h4\n    o.idle()\n", 1) + `
+class Other {
+  method idle(this) {
+    var z
+    z = new Main @ h5
+    return
+  }
+}
+`
+
+var progIdleEdit = strings.Replace(progIdle, "z = new Main @ h5\n", "z = new Main @ h5\n    z = this\n", 1)
 
 func load(t *testing.T, src string) *driver.Program {
 	t.Helper()
@@ -381,13 +404,33 @@ func TestWarmCorruptionFallsBackCold(t *testing.T) {
 	warm3 := solveTS(t, load(t, progBase), s3, conf)
 	wantSame(t, cold, warm3, "bit-flipped store")
 
-	// Version mismatch: valid JSON, wrong schema version.
-	corrupt(files[0], func([]byte) []byte {
-		return []byte(strings.Replace(string(orig), `"version": 1`, `"version": 99`, 1))
-	})
+	// Version mismatch: valid JSON, wrong schema version. The needle is
+	// derived from Version and the compact header encoding, and the
+	// mutation must change the file, so the check cannot pass vacuously.
+	needle := fmt.Sprintf(`"version":%d,`, Version)
+	mutated := strings.Replace(string(orig), needle, `"version":99,`, 1)
+	if mutated == string(orig) {
+		t.Fatalf("version mutation did not change the snapshot (no %s)", needle)
+	}
+	corrupt(files[0], func([]byte) []byte { return []byte(mutated) })
 	s4 := Open(dir, nil).Session(load(t, progBase), conf)
 	if s4.Exact() || len(s4.entries) != 0 {
 		t.Fatal("version-mismatched snapshot was trusted")
+	}
+
+	// A null entry in an otherwise valid body is skipped, not dereferenced.
+	corrupt(files[0], func([]byte) []byte { return orig })
+	line, err := readHeaderLine(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := Open(dir, nil).Session(load(t, progBase), conf)
+	corrupt(files[0], func([]byte) []byte {
+		return append([]byte(string(line)+`{"null":null,`), orig[len(line)+1:]...)
+	})
+	s5 := Open(dir, nil).Session(load(t, progBase), conf)
+	if !s5.Exact() || !reflect.DeepEqual(s5.entries, intact.entries) {
+		t.Fatalf("null entry: exact=%v, %d entries, want exact and %d", s5.Exact(), len(s5.entries), len(intact.entries))
 	}
 }
 
@@ -401,5 +444,187 @@ func TestWarmDisabledStore(t *testing.T) {
 	}
 	if len(cold) == 0 {
 		t.Fatal("no queries solved")
+	}
+}
+
+// saveSession opens a session for src in dir, solves every query of its
+// client through it, and saves it.
+func saveSession(t *testing.T, dir, src string, conf Config) *driver.Program {
+	t.Helper()
+	p := load(t, src)
+	s := Open(dir, nil).Session(p, conf)
+	solveAll(t, driver.ClientByName(string(conf.Client)), p, s, conf)
+	if err := s.Save(); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	return p
+}
+
+// snapshotOf returns the path of p's snapshot under conf in dir.
+func snapshotOf(dir string, p *driver.Program, conf Config) string {
+	return Open(dir, nil).snapshotPath(ir.Fingerprint(p.IR).Whole, string(conf.Client), confSignature(p, conf))
+}
+
+// cutAfterHeader truncates a snapshot file to its header line plus the
+// first keep bytes of its body.
+func cutAfterHeader(t *testing.T, name string, keep int) {
+	t.Helper()
+	line, err := readHeaderLine(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(name, data[:len(line)+keep], 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmSessionReadsOneBody pins the read path: a session decodes the
+// body of the snapshot it picks and nothing else. Every other same-client
+// snapshot is cut right after its header line, and the files of another
+// client (or another configuration) hold garbage; the session must still
+// load exactly the entries of an untouched store, with no file counted
+// corrupt.
+func TestWarmSessionReadsOneBody(t *testing.T) {
+	dir := t.TempDir()
+	conf := tsConf(50)
+	esc := Config{Client: Escape, K: 2, MaxIters: 50}
+	saveSession(t, dir, progBase, conf)
+	pEdit := saveSession(t, dir, progEditNeutral, conf)
+	saveSession(t, dir, progBase, esc)
+	saveSession(t, dir, progEditNeutral, esc)
+	otherConf := filepath.Join(dir, fmt.Sprintf("%016x-typestate-%08x.json", 1, fnvString("typestate|k=7")))
+	if err := os.WriteFile(otherConf, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want := Open(dir, nil).Session(load(t, progEditNeutral), conf)
+	if !want.Exact() || len(want.entries) == 0 {
+		t.Fatalf("test premise broken: exact=%v entries=%d", want.Exact(), len(want.entries))
+	}
+	chosen := snapshotOf(dir, pEdit, conf)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(files) != 5 {
+		t.Fatalf("want 5 snapshot files, got %d", len(files))
+	}
+	for _, name := range files {
+		switch {
+		case name == chosen || name == otherConf:
+		case strings.Contains(filepath.Base(name), "-typestate-"):
+			cutAfterHeader(t, name, 0)
+		default:
+			if err := os.WriteFile(name, []byte("\x00garbage{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	agg := obs.NewAgg()
+	got := Open(dir, agg).Session(load(t, progEditNeutral), conf)
+	if !got.Exact() || !reflect.DeepEqual(got.entries, want.entries) {
+		t.Fatalf("session over the damaged store: exact=%v, %d entries, want exact and the %d entries of the intact store",
+			got.Exact(), len(got.entries), len(want.entries))
+	}
+	if n := agg.Counter(obs.WarmEntriesCorrupt); n != 0 {
+		t.Fatalf("%d files counted corrupt; a session must read no body but the chosen one", n)
+	}
+	if n := agg.Counter(obs.WarmSnapshots); n != 2 {
+		t.Fatalf("%d snapshot headers considered, want the 2 same-client ones", n)
+	}
+	if n := agg.Timer(obs.WarmLoad).Count; n != 1 {
+		t.Fatalf("warm.load observed %d times for one session", n)
+	}
+	if err := got.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if n := agg.Timer(obs.WarmSave).Count; n != 1 {
+		t.Fatalf("warm.save observed %d times for one save", n)
+	}
+}
+
+// TestWarmFallsBackToNextNearest cuts the body of the nearest snapshot: the
+// session must count it corrupt, load the next-nearest one instead (here
+// the pre-edit snapshot, exactly as a store holding only that one would),
+// and still give cold verdicts.
+func TestWarmFallsBackToNextNearest(t *testing.T) {
+	dir, onlyBase := t.TempDir(), t.TempDir()
+	conf := tsConf(50)
+	pBase := saveSession(t, dir, progIdle, conf)
+	data, err := os.ReadFile(snapshotOf(dir, pBase, conf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapshotOf(onlyBase, pBase, conf), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pEdit := saveSession(t, dir, progIdleEdit, conf)
+	cutAfterHeader(t, snapshotOf(dir, pEdit, conf), 10)
+
+	agg := obs.NewAgg()
+	got := Open(dir, agg).Session(load(t, progIdleEdit), conf)
+	if got.Exact() {
+		t.Fatal("the cut exact snapshot was trusted")
+	}
+	if n := agg.Counter(obs.WarmEntriesCorrupt); n != 1 {
+		t.Fatalf("%d files counted corrupt, want 1", n)
+	}
+	want := Open(onlyBase, nil).Session(load(t, progIdleEdit), conf)
+	if len(want.entries) == 0 {
+		t.Fatal("test premise broken: no entry of the pre-edit snapshot survives the edit")
+	}
+	if !reflect.DeepEqual(got.entries, want.entries) {
+		t.Fatalf("fallback loaded %d entries, the next-nearest snapshot alone gives %d", len(got.entries), len(want.entries))
+	}
+	warm := solveTS(t, load(t, progIdleEdit), got, conf)
+	cold := solveTS(t, load(t, progIdleEdit), Open("", nil).Session(load(t, progIdleEdit), conf), conf)
+	wantSame(t, cold, warm, "fallback")
+}
+
+// TestWarmVersion1GoesCold rewrites a snapshot in the version-1 layout (one
+// indented JSON object holding header fields and queries alike): it is
+// ignored, counted corrupt, and the session solves cold.
+func TestWarmVersion1GoesCold(t *testing.T) {
+	dir := t.TempDir()
+	conf := tsConf(50)
+	p := saveSession(t, dir, progBase, conf)
+	name := snapshotOf(dir, p, conf)
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _ := readHeaderLine(name)
+	v1 := map[string]any{}
+	if err := json.Unmarshal(line, &v1); err != nil {
+		t.Fatal(err)
+	}
+	v1["version"] = 1
+	v1["queries"] = json.RawMessage(data[len(line):])
+	old, err := json.MarshalIndent(v1, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(name, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	agg := obs.NewAgg()
+	s := Open(dir, agg).Session(load(t, progBase), conf)
+	if s.Exact() || len(s.entries) != 0 {
+		t.Fatalf("version-1 snapshot was used: exact=%v entries=%d", s.Exact(), len(s.entries))
+	}
+	if n := agg.Counter(obs.WarmEntriesCorrupt); n != 1 {
+		t.Fatalf("%d files counted corrupt, want 1", n)
+	}
+}
+
+// TestWarmTimersNopAllocFree pins the store's timers to no allocation when
+// the recorder is obs.Nop.
+func TestWarmTimersNopAllocFree(t *testing.T) {
+	st := Open(t.TempDir(), obs.Nop{})
+	start := time.Now()
+	if n := testing.AllocsPerRun(100, func() { st.since(obs.WarmLoad, start) }); n != 0 {
+		t.Fatalf("timer on obs.Nop allocates %v times per call", n)
 	}
 }

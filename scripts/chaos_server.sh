@@ -14,7 +14,7 @@ conc=${2:-50}
 seed=${3:-7}
 bin=$(mktemp -d /tmp/tracerd_chaos.XXXXXX)
 log="$bin/tracerd.log"
-trap 'kill "$pid" 2>/dev/null; rm -rf "$bin"' EXIT
+trap 'kill "$pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
 
 go build -o "$bin/tracerd" ./cmd/tracerd
 go build -o "$bin/traceload" ./cmd/traceload

@@ -13,7 +13,7 @@ conc=${2:-8}
 bin=$(mktemp -d /tmp/tracerd_smoke.XXXXXX)
 log="$bin/tracerd.log"
 access="$bin/access.ndjson"
-trap 'kill "$pid" 2>/dev/null; rm -rf "$bin"' EXIT
+trap 'kill "$pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
 
 go build -o "$bin/tracerd" ./cmd/tracerd
 go build -o "$bin/traceload" ./cmd/traceload
